@@ -42,7 +42,6 @@ from .scattering import (
     inverse_scatter,
     scatter,
     symplecto_check,
-    transverse_shift,
 )
 from .scene import Scene
 from .vectors import cross_matrix, orthonormal_complement, unit
@@ -165,7 +164,7 @@ def _grid_cases():
                 yield math.radians(theta_deg), 1.0, ratio, s
 
 
-def _incidence_ray(theta1: float, z_foot: float = 0.0):
+def _incidence_ray(theta1: float):
     u1 = np.array([math.sin(theta1), 0.0, math.cos(theta1)])
     return make_ray(np.zeros(3), u1)
 

@@ -135,9 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_check = sub.add_parser("check", help="run verification suites (JSON report)")
-    p_check.add_argument(
-        "--suite", default="builtin", choices=["builtin"], help="built-in suite (default)"
-    )
     p_check.add_argument("--scene", default=None, help="check a scene file instead")
     p_check.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p_check.add_argument(

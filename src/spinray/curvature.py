@@ -71,11 +71,6 @@ def christoffel(field: IndexField, x) -> CurvatureData:
     return CurvatureData(gamma=gamma, ricci=ricci, scalar=scalar, metric=n**2 * np.eye(3))
 
 
-def ricci_scalar(field: IndexField, x) -> CurvatureData:
-    """Ricci tensor and curvature scalar at x (connection included)."""
-    return christoffel(field, x)
-
-
 def g_unit(field: IndexField, x, w) -> np.ndarray:
     """Rescale w to unit length in the optical metric at x."""
     w = vec3(w)

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .fields import IndexField, VelocityData, velocity_data
 from .orbits import OrbitInvariants
-from .vectors import orthonormal_complement, unit, vec3
+from .vectors import cross_matrix, orthonormal_complement, unit, vec3
 
 MODEL_SPINLESS = "spinless_fermat"
 MODEL_FULL = "full_spin"
@@ -210,15 +210,10 @@ def direction_linearized(
     rhs = dphat - float(vd.grad_n @ dx) * phat / vd.n - vd.n * s * np.cross(vd.dg @ dx, u)
     z = (s / p) * vd.g
     zz = float(z @ z)
-    inv_op = (np.eye(3) - _cross_mat(z) + np.outer(z, z)) / (1.0 + zz)
+    inv_op = (np.eye(3) - cross_matrix(z) + np.outer(z, z)) / (1.0 + zz)
     du = inv_op @ rhs / (vd.n * p)
     du = du - u * float(u @ du)
     return KernelDirection(dx=dx, du=du, model=MODEL_LINEARIZED)
-
-
-def _cross_mat(v: np.ndarray) -> np.ndarray:
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
 def direction_general_metric(

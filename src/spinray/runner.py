@@ -78,9 +78,8 @@ def run_trace(
 
     Terminations: "boundary" (left all media or the field domain),
     "path-length-limit", "interface-limit".  Raises the kernel errors of
-    the transport model and NotIncomingError for unreachable interface
-    orientations (a ray leaving a negative-index region cannot be
-    scattered: its momentum does not cross the exit plane).
+    the transport model, and NotIncomingError if a ray meets a plane
+    without its direction of travel crossing it.
     """
     if not 0 <= source_index < len(scene.sources):
         raise SceneError(f"source index {source_index} out of range "

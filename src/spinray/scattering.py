@@ -14,8 +14,11 @@ forces a unique two-branch map of the form
     q2 = q1 + mu p1 + nu n + rho (n x p1),      p2 = p1 + lambda n,
 
 with lambda a root of lambda^2 + 2 alpha lambda + C1 - C2 = 0 where
-alpha = <n, p1> > 0.  Refraction keeps the spin (s2 = s1) and takes the
-root continuous with the identity, lambda = -alpha + sign(n2) sqrt(...);
+alpha = <n, p1>.  A ray is incoming when its energy flows toward side 2,
+<n, u1> > 0, so alpha carries the sign of n1 (the momentum p1 = p n1 u1
+points backward in a left-handed medium).  Refraction keeps the spin
+(s2 = s1) and takes the root that sends the energy into side 2, which is
+the one continuous with the identity, lambda = -alpha + sign(n2) sqrt(...);
 reflection is the mirror branch lambda = -2 alpha with the spin flipped
 (s2 = -s1).  Equivariance pins
 
@@ -28,7 +31,9 @@ the optical Hall shift: opposite for the two helicities, vanishing at
 normal incidence, on reflection, and between perfectly impedance-matched
 left-handed media (n2 = -n1).  The momentum components in the plane and
 the angular momentum about the normal are conserved exactly, which is the
-spinning form of the Snell-Descartes laws.
+spinning form of the Snell-Descartes laws.  The map is reversible: the
+time-reversed outgoing ray, scattered on the same branch, leaves along the
+time-reversed incoming ray, which is how inverse_scatter undoes scatter.
 """
 
 from __future__ import annotations
@@ -140,7 +145,8 @@ def scatter_coefficients(
     mode "refract" keeps the spin and raises TotalReflectionRequiredError
     past the critical angle (C1 > C2 and alpha^2 + C2 - C1 < 0); mode
     "reflect" is the mirror branch with the spin flipped.  Raises
-    NotIncomingError unless <n, p1> > 0.  zero_rho forces the Hall term
+    NotIncomingError unless the energy flows toward side 2, <n, u1> > 0,
+    i.e. unless <n, p1> has the sign of n1.  zero_rho forces the Hall term
     to zero (a deliberately broken map for negative controls; it violates
     angular momentum conservation and symplecticity at oblique incidence).
     """
@@ -148,10 +154,10 @@ def scatter_coefficients(
     n = iface.normal
     p1 = inv.p * iface.n1 * local.u
     alpha = float(n @ p1)
-    if alpha <= 0.0:
+    if alpha * iface.n1 <= 0.0:
         raise NotIncomingError(
-            f"<n, p1> = {alpha:.6g} must be positive: the momentum does not cross "
-            "from side 1 toward side 2"
+            f"<n, u1> = {float(n @ local.u):.6g} must be positive: the ray does not "
+            "travel from side 1 toward side 2"
         )
     z = float(n @ local.q)
     C1, C1p = casimirs(inv.p, iface.n1, s1)
@@ -230,22 +236,6 @@ def scatter(
     ray2 = translate_ray(make_ray(q2, u2), iface.anchor)
     shift = co.rho * np.cross(n, p1)
     return ScatterOutcome(ray2=ray2, s2=co.s2, pvec2=p2, mode=tag, shift=shift)
-
-
-def transverse_shift(ray1: Ray, s1: float, iface: Interface, inv: OrbitInvariants) -> np.ndarray:
-    """Hall displacement rho (n x p1) of the outgoing ray (auto branch).
-
-    Perpendicular to both the normal and the incidence plane; zero at
-    normal incidence, on (total) reflection up to rounding, and exactly
-    zero through n2 = -n1.  Scales like 1/p at fixed geometry and is odd
-    in the spin.
-    """
-    try:
-        co = scatter_coefficients(ray1, s1, iface, inv, "refract")
-    except TotalReflectionRequiredError:
-        co = scatter_coefficients(ray1, s1, iface, inv, "reflect")
-    p1 = inv.p * iface.n1 * ray1.u
-    return co.rho * np.cross(iface.normal, p1)
 
 
 def snell_angles(theta1: float, n1: float, n2: float, mode: str = "refract") -> float:
@@ -374,42 +364,18 @@ def inverse_scatter(
 ) -> tuple[Ray, float]:
     """Reconstruct the incoming (ray1, s1) from a scatter outcome.
 
-    Uses the inverse coefficient set (lambda, mu, nu, rho all negated in
-    the appropriate sense) on the same interface.  Composing with scatter
-    returns the original ray to rounding; the mirror branch is its own
-    inverse up to the spin flip.
+    Scatters the time-reversed outgoing ray, with the outgoing spin, on
+    the branch that produced it (refraction back through the flipped
+    interface, reflection off the same one) and reverses the result.
+    Composing with scatter returns the original ray to rounding, on either
+    side of a left-handed interface.
     """
-    n = iface.normal
-    local = translate_ray(outcome.ray2, -iface.anchor)
-    p2 = vec3(outcome.pvec2)
-    alpha2 = float(n @ p2)
-    z2 = float(n @ local.q)
+    reversed_out = Ray(q=outcome.ray2.q, u=-outcome.ray2.u)
     if outcome.mode == MODE_REFRACTION:
-        s1 = outcome.s2
-        C1, C1p = casimirs(inv.p, iface.n1, s1)
-        C2, C2p = casimirs(inv.p, iface.n2, outcome.s2)
-        disc = max(alpha2**2 + C1 - C2, 0.0)
-        root = math.sqrt(disc) if C1 != C2 else abs(alpha2)
-        lam2 = -alpha2 + math.copysign(root, iface.n1)
-        if abs(alpha2) < 1e-15:
-            raise NotIncomingError("outgoing momentum is tangent to the interface")
-        mu2 = (C2 / C1 - 1.0) * z2 / alpha2
-        nu2 = (C2 / C1) * lam2 * z2 / alpha2
-        sin2 = C2 - alpha2**2
-        if sin2 < _NORMAL_INCIDENCE_EPS * C2:
-            rho2 = 0.0
-        else:
-            rho2 = ((C1p / C1 - C2p / C2) * alpha2 + lam2 * C1p / C1) / sin2
+        flipped = Interface(normal=-iface.normal, anchor=iface.anchor, n1=iface.n2, n2=iface.n1)
+        back = scatter(reversed_out, outcome.s2, flipped, inv, mode="refract")
     elif outcome.mode in (MODE_REFLECTION, MODE_TOTAL_REFLECTION):
-        s1 = -outcome.s2
-        lam2 = -2.0 * alpha2
-        mu2 = 0.0
-        nu2 = -2.0 * z2
-        rho2 = 0.0
+        back = scatter(reversed_out, outcome.s2, iface, inv, mode="reflect")
     else:
         raise ValueError(f"unknown outcome mode {outcome.mode!r}")
-    q1 = local.q + mu2 * p2 + nu2 * n + rho2 * np.cross(n, p2)
-    p1 = p2 + lam2 * n
-    u1 = p1 / (inv.p * iface.n1)
-    ray1 = translate_ray(make_ray(q1, u1), iface.anchor)
-    return ray1, s1
+    return Ray(q=back.ray2.q, u=-back.ray2.u), back.s2

@@ -16,7 +16,6 @@ from spinray.curvature import (
     einstein_uu,
     g_unit,
     r_omega,
-    ricci_scalar,
 )
 from spinray.fields import ConstantIndex, GaussianBumpIndex, LinearGradientIndex
 from spinray.vectors import cross_matrix
@@ -111,7 +110,7 @@ def test_ricci_matches_coordinate_oracle(rng):
     for _ in range(25):
         for field in sample_fields(rng):
             x = rng.uniform(-0.7, 0.7, size=3)
-            curv = ricci_scalar(field, x)
+            curv = christoffel(field, x)
             ric = oracle_ricci(field, x)
             assert np.allclose(curv.ricci, ric, atol=1e-5)
             # scalar is the metric contraction g^jk R_jk

@@ -187,6 +187,16 @@ def test_sweep_total_reflection_rows_carry_the_error():
     assert all(r["error"] == "" for r in good)
 
 
+def test_sweep_from_a_left_handed_side_has_no_error_rows():
+    rows = sweep_rows(sweep_spec(parameter="incidence_angle", start=0.0, stop=85.0,
+                                 count=18, n1=-1.3, n2=1.0))
+    assert all(r["error"] == "" for r in rows)
+    assert all(r["res_L"] < 1e-10 and r["res_P"] < 1e-10 for r in rows)
+    # negative refraction below the critical angle, total reflection past it
+    assert {r["mode"] for r in rows} == {"refraction", "total_reflection"}
+    assert all(r["theta2_deg"] <= 0.0 for r in rows if r["mode"] == "refraction")
+
+
 def test_sweep_csv_layout_and_determinism():
     spec = sweep_spec(count=5)
     rows1, csv1 = run_sweep(spec)

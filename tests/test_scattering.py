@@ -18,7 +18,6 @@ from spinray.scattering import (
     scatter_coefficients,
     snell_angles,
     symplecto_check,
-    transverse_shift,
 )
 
 from conftest import random_unit
@@ -82,6 +81,14 @@ def test_scatter_requires_incoming_momentum():
     grazing = make_ray([0, 0, 0], [1, 0, 0])
     with pytest.raises(NotIncomingError):
         scatter(grazing, 1.0, flat_interface(), OrbitInvariants(p=1.0, s=1.0))
+    # "incoming" is read from the energy flow u, not from the momentum,
+    # which points backward on a left-handed side 1
+    left_handed = flat_interface(n1=-1.3, n2=1.0)
+    inv = OrbitInvariants(p=1.0, s=1.0)
+    out = scatter(ray, 1.0, left_handed, inv)
+    assert conservation_check(ray, 1.0, out, left_handed, inv).within(1e-10)
+    with pytest.raises(NotIncomingError):
+        scatter(receding, 1.0, left_handed, inv)
 
 
 def test_total_reflection_branch():
@@ -255,8 +262,8 @@ def test_shift_is_odd_in_spin_and_transverse(rng):
         iface = flat_interface(n1=1.0, n2=rng.uniform(1.1, 2.0))
         ray = incoming_ray(theta, through=rng.uniform(-0.5, 0.5, size=3))
         p = rng.uniform(0.5, 3.0)
-        plus = transverse_shift(ray, 1.0, iface, OrbitInvariants(p=p, s=1.0))
-        minus = transverse_shift(ray, -1.0, iface, OrbitInvariants(p=p, s=-1.0))
+        plus = scatter(ray, 1.0, iface, OrbitInvariants(p=p, s=1.0)).shift
+        minus = scatter(ray, -1.0, iface, OrbitInvariants(p=p, s=-1.0)).shift
         assert np.allclose(plus, -minus, atol=1e-15)
         assert abs(plus @ iface.normal) < 1e-15
         assert abs(plus @ ray.u) < 1e-12 * (1 + np.linalg.norm(plus))
@@ -268,7 +275,7 @@ def test_shift_scales_inversely_with_color():
     iface = flat_interface()
     ps = np.geomspace(0.5, 5.0, 7)
     mags = [
-        np.linalg.norm(transverse_shift(ray, 1.0, iface, OrbitInvariants(p=p, s=1.0)))
+        np.linalg.norm(scatter(ray, 1.0, iface, OrbitInvariants(p=p, s=1.0)).shift)
         for p in ps
     ]
     slope = np.polyfit(np.log(ps), np.log(mags), 1)[0]
@@ -320,8 +327,9 @@ def test_scatter_round_trips_through_inverse(rng):
     for _ in range(40):
         theta = rng.uniform(0.05, 1.3)
         anchor = rng.uniform(-1, 1, size=3)
+        n1 = float(rng.choice([1.0, -1.2]))
         n2 = float(rng.choice([0.5, 1.5, 2.0, -1.0]))
-        iface = Interface(normal=(0, 0, 1), anchor=anchor, n1=1.0, n2=n2)
+        iface = Interface(normal=(0, 0, 1), anchor=anchor, n1=n1, n2=n2)
         ray = incoming_ray(theta, through=anchor + rng.uniform(-0.4, 0.4, size=3))
         s1 = float(rng.choice([-1.0, 1.0]))
         inv = OrbitInvariants(p=rng.uniform(0.8, 2.0), s=s1)
