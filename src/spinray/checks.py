@@ -26,7 +26,6 @@ from .orbits import (
 )
 from .propagation import (
     MODEL_FULL,
-    MODEL_GENERAL,
     MetricState,
     PhotonState,
     direction_full_spin,

@@ -32,34 +32,61 @@ class CurvatureData:
     """Connection and curvature of the optical metric at one point.
 
     gamma[k, i, j] holds Gamma^k_ij; ricci is the covariant R_ij, scalar
-    the curvature scalar, metric the matrix n^2 I.
+    the curvature scalar and n the index there.  Built from one field jet
+    by from_jet, it serves every curvature quantity the kernels need.
     """
 
     gamma: np.ndarray
     ricci: np.ndarray
     scalar: float
-    metric: np.ndarray
+    n: float
+
+    @classmethod
+    def from_jet(cls, n: float, dn: np.ndarray, hess: np.ndarray) -> "CurvatureData":
+        """Curvature data from the jet (n, grad n, hess n) of a field."""
+        lap = float(np.trace(hess))
+        eye = np.eye(3)
+        gamma = (
+            np.einsum("i,kj->kij", dn, eye)
+            + np.einsum("j,ki->kij", dn, eye)
+            - np.einsum("k,ij->kij", dn, eye)
+        ) / n
+        ricci = 2.0 * np.outer(dn, dn) / n**2 - hess / n - lap * eye / n
+        scalar = 2.0 * float(dn @ dn) / n**4 - 4.0 * lap / n**3
+        return cls(gamma=gamma, ricci=ricci, scalar=scalar, n=n)
+
+    @property
+    def metric(self) -> np.ndarray:
+        """The metric matrix n^2 I."""
+        return self.n**2 * np.eye(3)
 
     def christoffel_apply(self, a, b) -> np.ndarray:
         """Contract Gamma^k_ij a^i b^j."""
         return np.einsum("kij,i,j->k", self.gamma, vec3(a), vec3(b))
 
+    def _g_unit_checked(self, U) -> np.ndarray:
+        U = vec3(U)
+        if abs(self.n**2 * float(U @ U) - 1.0) > 1e-9:
+            raise ValueError("U must be unit length in the optical metric")
+        return U
 
-def _curvature_parts(field: IndexField, x):
-    x = vec3(x)
-    n = field.value(x)
-    dn = field.gradient(x)
-    hess = field.hessian(x)
-    lap = float(np.trace(hess))
-    eye = np.eye(3)
-    gamma = (
-        np.einsum("i,kj->kij", dn, eye)
-        + np.einsum("j,ki->kij", dn, eye)
-        - np.einsum("k,ij->kij", dn, eye)
-    ) / n
-    ricci = 2.0 * np.outer(dn, dn) / n**2 - hess / n - lap * eye / n
-    scalar = 2.0 * float(dn @ dn) / n**4 - 4.0 * lap / n**3
-    return n, gamma, ricci, scalar
+    def r_omega(self, U) -> np.ndarray:
+        """Matrix of R(Omega) = -2 (Ric Omega + Omega Ric) + R Omega.
+
+        U must be g-unit: n^2 <U, U> = 1 within 1e-9.  Ric acts here as the
+        endomorphism obtained by raising one index, R_ij / n^2.  The result
+        is antisymmetric with respect to g, i.e.
+        g(R(Omega) a, b) = -g(a, R(Omega) b).
+        """
+        U = self._g_unit_checked(U)
+        omega = self.n * cross_matrix(U)
+        ric_endo = self.ricci / self.n**2
+        return -2.0 * (ric_endo @ omega + omega @ ric_endo) + self.scalar * omega
+
+    def einstein_uu(self, U) -> float:
+        """Ein(U, U) = Ric(U, U) - R/2 for a g-unit velocity U."""
+        U = self._g_unit_checked(U)
+        return float(U @ self.ricci @ U) - 0.5 * self.scalar
 
 
 def christoffel(field: IndexField, x) -> CurvatureData:
@@ -67,8 +94,7 @@ def christoffel(field: IndexField, x) -> CurvatureData:
 
     The returned gamma is symmetric in its lower indices.
     """
-    n, gamma, ricci, scalar = _curvature_parts(field, x)
-    return CurvatureData(gamma=gamma, ricci=ricci, scalar=scalar, metric=n**2 * np.eye(3))
+    return CurvatureData.from_jet(*field.jet(x))
 
 
 def g_unit(field: IndexField, x, w) -> np.ndarray:
@@ -82,25 +108,10 @@ def g_unit(field: IndexField, x, w) -> np.ndarray:
 
 
 def r_omega(field: IndexField, x, U) -> np.ndarray:
-    """Matrix of R(Omega) = -2 (Ric Omega + Omega Ric) + R Omega at x.
-
-    U must be g-unit: n^2 <U, U> = 1 within 1e-9.  Ric acts here as the
-    endomorphism obtained by raising one index, R_ij / n^2.  The result is
-    antisymmetric with respect to g, i.e. g(R(Omega) a, b) = -g(a, R(Omega) b).
-    """
-    U = vec3(U)
-    n, _, ricci, scalar = _curvature_parts(field, x)
-    if abs(n**2 * float(U @ U) - 1.0) > 1e-9:
-        raise ValueError("U must be unit length in the optical metric")
-    omega = n * cross_matrix(U)
-    ric_endo = ricci / n**2
-    return -2.0 * (ric_endo @ omega + omega @ ric_endo) + scalar * omega
+    """Matrix of R(Omega) at x for a g-unit U; see CurvatureData.r_omega."""
+    return christoffel(field, x).r_omega(U)
 
 
 def einstein_uu(field: IndexField, x, U) -> float:
-    """Ein(U, U) = Ric(U, U) - R/2 for a g-unit velocity U."""
-    U = vec3(U)
-    n, _, ricci, scalar = _curvature_parts(field, x)
-    if abs(n**2 * float(U @ U) - 1.0) > 1e-9:
-        raise ValueError("U must be unit length in the optical metric")
-    return float(U @ ricci @ U) - 0.5 * scalar
+    """Ein(U, U) = Ric(U, U) - R/2 at x for a g-unit velocity U."""
+    return christoffel(field, x).einstein_uu(U)

@@ -1,11 +1,18 @@
 """Refractive index fields and the velocity data derived from them.
 
-A field supplies n(x) together with its first two derivatives.  The
-analytic variants (constant, linear gradient, Gaussian bump) return exact
-derivatives.  The grid variant interpolates tabulated samples trilinearly
-and differentiates by central differences on the nodes; it is adequate for
-spinless work but only piecewise-smooth, so spin transport on grids
-carries reduced accuracy (the spin corrections involve second
+A field supplies n(x) together with its first two derivatives.  jet(x)
+returns all three at one point, (n, grad n, hess n), and is what the
+transport kernels and the curvature code consume: every built-in field
+computes its jet in one pass (one envelope for the Gaussian bump, one cell
+lookup for the grid), and its gradient and hessian are read off that jet.
+A custom field may implement only value, gradient and hessian; the base
+jet then falls back to calling the three.
+
+The analytic variants (constant, linear gradient, Gaussian bump) return
+exact derivatives.  The grid variant interpolates tabulated samples
+trilinearly and differentiates by central differences on the nodes; it is
+adequate for spinless work but only piecewise-smooth, so spin transport
+on grids carries reduced accuracy (the spin corrections involve second
 derivatives).
 
 The velocity data of a field packages v = 1/n, the velocity gradient
@@ -40,6 +47,11 @@ class IndexField:
     def hessian(self, x) -> np.ndarray:
         raise NotImplementedError
 
+    def jet(self, x) -> tuple[float, np.ndarray, np.ndarray]:
+        """(n, grad n, hess n) at x, by default from the three methods."""
+        x = vec3(x)
+        return self.value(x), self.gradient(x), self.hessian(x)
+
     def _checked(self, n: float, x) -> float:
         if not np.isfinite(n) or n < MIN_INDEX:
             raise OutOfDomainError(
@@ -59,17 +71,18 @@ class ConstantIndex(IndexField):
         if not np.isfinite(self.n0) or self.n0 < MIN_INDEX:
             raise ValueError(f"constant index must be at least {MIN_INDEX:g}, got {self.n0}")
 
-    def value(self, x) -> float:
+    def jet(self, x) -> tuple[float, np.ndarray, np.ndarray]:
         vec3(x)
-        return float(self.n0)
+        return float(self.n0), np.zeros(3), np.zeros((3, 3))
+
+    def value(self, x) -> float:
+        return self.jet(x)[0]
 
     def gradient(self, x) -> np.ndarray:
-        vec3(x)
-        return np.zeros(3)
+        return self.jet(x)[1]
 
     def hessian(self, x) -> np.ndarray:
-        vec3(x)
-        return np.zeros((3, 3))
+        return self.jet(x)[2]
 
 
 @dataclass(frozen=True)
@@ -84,16 +97,18 @@ class LinearGradientIndex(IndexField):
         if not np.isfinite(self.n0):
             raise ValueError("n0 must be finite")
 
+    def jet(self, x) -> tuple[float, np.ndarray, np.ndarray]:
+        n = self._checked(self.n0 + float(self.k @ vec3(x)), x)
+        return n, self.k.copy(), np.zeros((3, 3))
+
     def value(self, x) -> float:
-        return self._checked(self.n0 + float(self.k @ vec3(x)), x)
+        return self.jet(x)[0]
 
     def gradient(self, x) -> np.ndarray:
-        self.value(x)
-        return self.k.copy()
+        return self.jet(x)[1]
 
     def hessian(self, x) -> np.ndarray:
-        self.value(x)
-        return np.zeros((3, 3))
+        return self.jet(x)[2]
 
 
 @dataclass(frozen=True)
@@ -120,16 +135,17 @@ class GaussianBumpIndex(IndexField):
         _, e = self._envelope(x)
         return self._checked(self.n0 + e, x)
 
-    def gradient(self, x) -> np.ndarray:
-        self.value(x)
+    def jet(self, x) -> tuple[float, np.ndarray, np.ndarray]:
         r, e = self._envelope(x)
-        return -e * r / self.width**2
+        n = self._checked(self.n0 + e, x)
+        w2 = self.width**2
+        return n, -e * r / w2, e * (np.outer(r, r) / w2**2 - np.eye(3) / w2)
+
+    def gradient(self, x) -> np.ndarray:
+        return self.jet(x)[1]
 
     def hessian(self, x) -> np.ndarray:
-        self.value(x)
-        r, e = self._envelope(x)
-        w2 = self.width**2
-        return e * (np.outer(r, r) / w2**2 - np.eye(3) / w2)
+        return self.jet(x)[2]
 
 
 class GridIndex(IndexField):
@@ -172,7 +188,8 @@ class GridIndex(IndexField):
                 else:
                     self._hess[a][b] = second[b]
 
-    def _locate(self, x) -> tuple[np.ndarray, np.ndarray]:
+    def _locate(self, x) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Cell index of x and the trilinear weights along each axis."""
         x = vec3(x)
         f = (x - self.origin) / self.spacing
         idx = np.floor(f).astype(int)
@@ -183,30 +200,30 @@ class GridIndex(IndexField):
                 f"point {x.tolist()} is outside the grid interior "
                 f"(valid cells are one layer in from the boundary)"
             )
-        return idx, f - idx
+        frac = f - idx
+        return idx, [np.array([1.0 - fa, fa]) for fa in frac]
 
-    def _interp(self, table, idx, frac) -> float:
+    def _interp(self, table, idx, weights) -> float:
         i, j, k = idx
         cell = table[i : i + 2, j : j + 2, k : k + 2]
-        wx = np.array([1.0 - frac[0], frac[0]])
-        wy = np.array([1.0 - frac[1], frac[1]])
-        wz = np.array([1.0 - frac[2], frac[2]])
-        return float(np.einsum("ijk,i,j,k->", cell, wx, wy, wz))
+        return float(np.einsum("ijk,i,j,k->", cell, *weights))
 
     def value(self, x) -> float:
-        idx, frac = self._locate(x)
-        return self._checked(self._interp(self.values, idx, frac), x)
+        idx, weights = self._locate(x)
+        return self._checked(self._interp(self.values, idx, weights), x)
+
+    def jet(self, x) -> tuple[float, np.ndarray, np.ndarray]:
+        idx, weights = self._locate(x)
+        n = self._checked(self._interp(self.values, idx, weights), x)
+        grad = np.array([self._interp(g, idx, weights) for g in self._grad])
+        h = np.array([[self._interp(hab, idx, weights) for hab in row] for row in self._hess])
+        return n, grad, 0.5 * (h + h.T)
 
     def gradient(self, x) -> np.ndarray:
-        idx, frac = self._locate(x)
-        return np.array([self._interp(self._grad[a], idx, frac) for a in range(3)])
+        return self.jet(x)[1]
 
     def hessian(self, x) -> np.ndarray:
-        idx, frac = self._locate(x)
-        h = np.array(
-            [[self._interp(self._hess[a][b], idx, frac) for b in range(3)] for a in range(3)]
-        )
-        return 0.5 * (h + h.T)
+        return self.jet(x)[2]
 
 
 def load_index_grid(source: str | Path) -> GridIndex:
@@ -265,10 +282,7 @@ class VelocityData:
 
 def velocity_data(field: IndexField, x) -> VelocityData:
     """Evaluate the velocity, its gradient and derivative matrix at x."""
-    x = vec3(x)
-    n = field.value(x)
-    grad_n = field.gradient(x)
-    hess_n = field.hessian(x)
+    n, grad_n, hess_n = field.jet(x)
     g = -grad_n / n**2
     dg = -hess_n / n**2 + 2.0 * np.outer(grad_n, grad_n) / n**3
     return VelocityData(v=1.0 / n, g=g, dg=dg, n=n, grad_n=grad_n)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vectors import unit, vec3
+from .vectors import cross, unit, vec3
 
 # Constraint drift beyond this triggers rejection; factories re-project.
 RAY_ATOL = 1e-12
@@ -177,14 +177,14 @@ def momentum_map(x, u, inv: OrbitInvariants) -> MomentumValue:
     u = unit(u)
     x = vec3(x)
     pvec = inv.p * u
-    ell = np.cross(x, pvec) + inv.s * u
+    ell = cross(x, pvec) + inv.s * u
     return MomentumValue(ell=ell, pvec=pvec)
 
 
 def symplectic_form(ray: Ray, a: OrbitTangent, b: OrbitTangent, inv: OrbitInvariants) -> float:
     """Evaluate the twisted 2-form omega on two tangent vectors."""
     straight = float(a.du @ b.dq) - float(b.du @ a.dq)
-    twist = float(ray.u @ np.cross(a.du, b.du))
+    twist = float(ray.u @ cross(a.du, b.du))
     return inv.p * straight - inv.s * twist
 
 
@@ -223,7 +223,7 @@ def wave_plane_bracket(ray: Ray, v1, v2, inv: OrbitInvariants) -> float:
             raise ValueError("wave-plane frame vectors must be unit length")
     if abs(float(v1 @ v2)) > 1e-9:
         raise ValueError("wave-plane frame vectors must be orthogonal")
-    if float(np.linalg.norm(np.cross(v1, v2) - ray.u)) > 1e-9:
+    if float(np.linalg.norm(cross(v1, v2) - ray.u)) > 1e-9:
         raise ValueError("frame must be right-handed with v1 x v2 = u")
     basis = tangent_basis(ray)
     w = np.array([[symplectic_form(ray, a, b, inv) for b in basis] for a in basis])

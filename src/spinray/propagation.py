@@ -32,15 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import christoffel, einstein_uu, r_omega
+from .curvature import CurvatureData
 from .errors import (
     DegenerateKernelError,
     OutOfDomainError,
     SpinCurvatureSingularityError,
 )
-from .fields import IndexField, VelocityData, velocity_data
+from .fields import IndexField, velocity_data
 from .orbits import OrbitInvariants
-from .vectors import cross_matrix, orthonormal_complement, unit, vec3
+from .vectors import cross, cross_matrix, orthonormal_complement, unit, vec3
 
 MODEL_SPINLESS = "spinless_fermat"
 MODEL_FULL = "full_spin"
@@ -72,6 +72,14 @@ class PhotonState:
     def __post_init__(self):
         object.__setattr__(self, "x", vec3(self.x))
         object.__setattr__(self, "u", unit(self.u))
+
+    @classmethod
+    def _trusted(cls, x: np.ndarray, u: np.ndarray) -> "PhotonState":
+        """State from arrays the caller has already validated."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "x", x)
+        object.__setattr__(state, "u", u)
+        return state
 
 
 @dataclass(frozen=True)
@@ -137,7 +145,7 @@ def canonical_model(model: str) -> str:
 def momentum_hat(state: PhotonState, inv: OrbitInvariants, field: IndexField) -> np.ndarray:
     """Spin-corrected momentum phat = n (p u + s g x u) at the state."""
     vd = velocity_data(field, state.x)
-    return vd.n * (inv.p * state.u + inv.s * np.cross(vd.g, state.u))
+    return vd.n * (inv.p * state.u + inv.s * cross(vd.g, state.u))
 
 
 def _oriented_unit(raw: np.ndarray, u: np.ndarray, what: str) -> tuple[np.ndarray, float]:
@@ -185,7 +193,7 @@ def direction_full_spin(
     a = 1.0 + s_over_p2 * float(vd.g @ vd.g) - vd.v * s_over_p2 * vd.div_g
     raw = a * u + vd.v * s_over_p2 * (vd.dg @ u)
     dx, _ = _oriented_unit(raw, u, MODEL_FULL)
-    du = (vd.n / inv.s) * np.cross(u, inv.p * dx - inv.s * np.cross(vd.g, dx))
+    du = (vd.n / inv.s) * cross(u, inv.p * dx - inv.s * cross(vd.g, dx))
     du = du - u * float(u @ du)
     return KernelDirection(dx=dx, du=du, model=MODEL_FULL)
 
@@ -203,11 +211,11 @@ def direction_linearized(
     """
     vd = velocity_data(field, state.x)
     u, p, s = state.u, inv.p, inv.s
-    phat = vd.n * (p * u + s * np.cross(vd.g, u))
-    raw = phat - (s / p) * np.cross(vd.g, phat)
+    phat = vd.n * (p * u + s * cross(vd.g, u))
+    raw = phat - (s / p) * cross(vd.g, phat)
     dx, scale = _oriented_unit(raw, u, MODEL_LINEARIZED)
     dphat = -vd.n * float(phat @ dx) * vd.g
-    rhs = dphat - float(vd.grad_n @ dx) * phat / vd.n - vd.n * s * np.cross(vd.dg @ dx, u)
+    rhs = dphat - float(vd.grad_n @ dx) * phat / vd.n - vd.n * s * cross(vd.dg @ dx, u)
     z = (s / p) * vd.g
     zz = float(z @ z)
     inv_op = (np.eye(3) - cross_matrix(z) + np.outer(z, z)) / (1.0 + zz)
@@ -227,18 +235,17 @@ def direction_general_metric(
     correction.  Raises SpinCurvatureSingularityError when the coupling
     denominator |p^2 + s^2 Ein(U, U)| drops below 1e-9 p^2.
     """
-    x, U = mstate.X, mstate.U
-    n = field.value(x)
-    grad_n = field.gradient(x)
-    curv = christoffel(field, x)
-    rom = r_omega(field, x, U)
-    ein = einstein_uu(field, x, U)
+    U = mstate.U
+    n, grad_n, hess_n = field.jet(mstate.X)
+    curv = CurvatureData.from_jet(n, grad_n, hess_n)
+    rom = curv.r_omega(U)
+    ein = curv.einstein_uu(U)
     denom = inv.p**2 + inv.s**2 * ein
     if abs(denom) < 1e-9 * inv.p**2:
         raise SpinCurvatureSingularityError(
             f"curvature coupling denominator p^2 + s^2 Ein(U,U) = {denom:.3e} is singular"
         )
-    dX = U + inv.s**2 * (n * np.cross(U, rom @ U)) / (2.0 * denom)
+    dX = U + inv.s**2 * (n * cross(U, rom @ U)) / (2.0 * denom)
     dU_cov = -(inv.s / (2.0 * inv.p)) * (rom @ dX)
     # Euclidean conversion of the pair (dX, DU): u = n U, du from the
     # product rule with the connection term removed from DU.
@@ -267,11 +274,11 @@ def kernel_residual(
     """
     vd = velocity_data(field, state.x)
     u, p, s = state.u, inv.p, inv.s
-    phat_over_n = p * u + s * np.cross(vd.g, u)
+    phat_over_n = p * u + s * cross(vd.g, u)
 
     def dphat(dx: np.ndarray, du: np.ndarray) -> np.ndarray:
         return float(vd.grad_n @ dx) * phat_over_n + vd.n * (
-            p * du + s * np.cross(vd.dg @ dx, u) + s * np.cross(vd.g, du)
+            p * du + s * cross(vd.dg @ dx, u) + s * cross(vd.g, du)
         )
 
     d_dx, d_du = direction.dx, direction.du
@@ -285,7 +292,7 @@ def kernel_residual(
         sigma = (
             float(d_dphat @ e_dx)
             - float(dphat(e_dx, e_du) @ d_dx)
-            - s * float(u @ np.cross(d_du, e_du))
+            - s * float(u @ cross(d_du, e_du))
         )
         worst = max(worst, abs(sigma))
     return worst
@@ -327,8 +334,13 @@ def integrate(
     fn = _direction_fn(model, inv, field)
 
     def derivative(y: np.ndarray) -> np.ndarray:
-        st = PhotonState(x=y[:3], u=y[3:])
-        d = fn(st)
+        # PhotonState's checks and normalization, without its validation calls
+        if not np.isfinite(y).all():
+            raise ValueError("ray state has non-finite entries")
+        norm = float(np.linalg.norm(y[3:]))
+        if norm < 1e-9:
+            raise ValueError(f"cannot normalize a vector of norm {norm:.3e}")
+        d = fn(PhotonState._trusted(y[:3], y[3:] / norm))
         return np.concatenate([d.dx, d.du])
 
     def rk4(y: np.ndarray, h: float) -> np.ndarray:

@@ -31,7 +31,7 @@ from .scattering import (
     scatter,
 )
 from .scene import Scene, SweepSpec
-from .vectors import unit
+from .vectors import cross, unit
 
 CSV_COLUMNS = (
     "param,theta1_deg,theta2_deg,s1,s2,mode,shift_x,shift_y,shift_z,res_L,res_P,error"
@@ -63,7 +63,7 @@ class TraceResult:
 
 def _angles(n: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> tuple[float, float]:
     """Signed in-plane angles of the incoming and outgoing directions."""
-    theta1 = math.atan2(float(np.linalg.norm(np.cross(n, u1))), float(n @ u1))
+    theta1 = math.atan2(float(np.linalg.norm(cross(n, u1))), float(n @ u1))
     tang = u1 - n * float(n @ u1)
     norm = float(np.linalg.norm(tang))
     tang = tang / norm if norm > 1e-12 else np.zeros(3)
@@ -145,9 +145,7 @@ def run_trace(
         iface = planes[j]
         if signs[j] > 0.0:
             # approached from the n2 side: flip the working orientation
-            iface = Interface(
-                normal=-iface.normal, anchor=iface.anchor, n1=iface.n2, n2=iface.n1
-            )
+            iface = iface.flipped()
         hit = x_end - iface.normal * iface.signed_distance(x_end)
         ray1 = ray_from_point_direction(hit, u_end)
         outcome = scatter(ray1, s_cur, iface, inv, mode="auto")

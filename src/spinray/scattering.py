@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import NotIncomingError, TotalReflectionRequiredError
 from .orbits import OrbitInvariants, Ray, make_ray, orbit_tangent, translate_ray
-from .vectors import rotation_about, unit, vec3
+from .vectors import cross, rotation_about, unit, vec3
 
 MODE_REFRACTION = "refraction"
 MODE_REFLECTION = "reflection"
@@ -79,10 +79,15 @@ class Interface:
     def signed_distance(self, x) -> float:
         return float(self.normal @ (vec3(x) - self.anchor))
 
+    def flipped(self) -> "Interface":
+        """The same plane oriented from side 2: normal reversed, indices swapped."""
+        return Interface(normal=-self.normal, anchor=self.anchor, n1=self.n2, n2=self.n1)
+
 
 @dataclass(frozen=True)
 class ScatterCoefficients:
-    """Coefficients of the crossing map in anchored coordinates."""
+    """Coefficients of the crossing map in anchored coordinates, with the
+    anchored foot point q1 and momentum p1 of the incoming ray they act on."""
 
     alpha: float
     lam: float
@@ -96,6 +101,8 @@ class ScatterCoefficients:
     C2p: float
     mode: str
     s2: float
+    q1: np.ndarray
+    p1: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -193,7 +200,7 @@ def scatter_coefficients(
         rho = ((C2p / C2 - C1p / C1) * alpha + lam * C2p / C2) / sin2
     return ScatterCoefficients(
         alpha=alpha, lam=lam, mu=mu, nu=nu, rho=rho, z=z,
-        C1=C1, C2=C2, C1p=C1p, C2p=C2p, mode=tag, s2=s2,
+        C1=C1, C2=C2, C1p=C1p, C2p=C2p, mode=tag, s2=s2, q1=local.q, p1=p1,
     )
 
 
@@ -226,15 +233,14 @@ def scatter(
         tag = co.mode
     else:
         raise ValueError(f"mode must be 'auto', 'refract' or 'reflect', got {mode!r}")
-    local = translate_ray(ray1, -iface.anchor)
     n = iface.normal
-    p1 = inv.p * iface.n1 * local.u
+    p1 = co.p1
     p2 = p1 + co.lam * n
     n_out = iface.n2 if tag == MODE_REFRACTION else iface.n1
     u2 = p2 / (inv.p * n_out)
-    q2 = local.q + co.mu * p1 + co.nu * n + co.rho * np.cross(n, p1)
+    shift = co.rho * cross(n, p1)
+    q2 = co.q1 + co.mu * p1 + co.nu * n + shift
     ray2 = translate_ray(make_ray(q2, u2), iface.anchor)
-    shift = co.rho * np.cross(n, p1)
     return ScatterOutcome(ray2=ray2, s2=co.s2, pvec2=p2, mode=tag, shift=shift)
 
 
@@ -276,10 +282,10 @@ def conservation_check(
     n = iface.normal
     p1 = inv.p * iface.n1 * ray1.u
     p2 = vec3(outcome.pvec2)
-    l1 = float(n @ (np.cross(ray1.q, p1) + s1 * ray1.u))
-    l2 = float(n @ (np.cross(outcome.ray2.q, p2) + outcome.s2 * outcome.ray2.u))
+    l1 = float(n @ (cross(ray1.q, p1) + s1 * ray1.u))
+    l2 = float(n @ (cross(outcome.ray2.q, p2) + outcome.s2 * outcome.ray2.u))
     angular = abs(l1 - l2)
-    tangential = float(np.linalg.norm(np.cross(n, p1 - p2)))
+    tangential = float(np.linalg.norm(cross(n, p1 - p2)))
     scale = inv.p * max(abs(iface.n1), abs(iface.n2)) * (
         1.0 + float(np.linalg.norm(ray1.q))
     ) + abs(s1)
@@ -288,7 +294,7 @@ def conservation_check(
 
 def _orbit_form(p_signed: float, s: float, u, a_du, a_dq, b_du, b_dq) -> float:
     straight = float(a_du @ b_dq) - float(b_du @ a_dq)
-    return p_signed * straight - s * float(u @ np.cross(a_du, b_du))
+    return p_signed * straight - s * float(u @ cross(a_du, b_du))
 
 
 def symplecto_check(
@@ -372,8 +378,7 @@ def inverse_scatter(
     """
     reversed_out = Ray(q=outcome.ray2.q, u=-outcome.ray2.u)
     if outcome.mode == MODE_REFRACTION:
-        flipped = Interface(normal=-iface.normal, anchor=iface.anchor, n1=iface.n2, n2=iface.n1)
-        back = scatter(reversed_out, outcome.s2, flipped, inv, mode="refract")
+        back = scatter(reversed_out, outcome.s2, iface.flipped(), inv, mode="refract")
     elif outcome.mode in (MODE_REFLECTION, MODE_TOTAL_REFLECTION):
         back = scatter(reversed_out, outcome.s2, iface, inv, mode="reflect")
     else:

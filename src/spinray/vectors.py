@@ -10,7 +10,7 @@ def vec3(value) -> np.ndarray:
     v = np.asarray(value, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("3-vector has non-finite entries")
     return v
 
@@ -21,6 +21,17 @@ def unit(value, eps: float = 1e-9) -> np.ndarray:
     if norm < eps:
         raise ValueError(f"cannot normalize a vector of norm {norm:.3e}")
     return v / norm
+
+
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product a x b of two float 3-vector arrays.
+
+    Same entries as np.cross, bit for bit, at a fraction of its call
+    overhead on length-3 arrays.
+    """
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def cross_matrix(v) -> np.ndarray:
@@ -37,8 +48,8 @@ def orthonormal_complement(u) -> tuple[np.ndarray, np.ndarray]:
     """
     u = unit(u)
     seed = np.eye(3)[int(np.argmin(np.abs(u)))]
-    e1 = unit(np.cross(seed, u))
-    e2 = np.cross(u, e1)
+    e1 = unit(cross(seed, u))
+    e2 = cross(u, e1)
     return e1, e2
 
 

@@ -6,6 +6,7 @@ from spinray.fields import (
     ConstantIndex,
     GaussianBumpIndex,
     GridIndex,
+    IndexField,
     LinearGradientIndex,
     dump_index_grid,
     load_index_grid,
@@ -200,3 +201,53 @@ def test_velocity_gradient_matches_finite_differences(rng):
                 gm = velocity_data(field, x - e).g
                 fd[:, i] = (gp - gm) / (2 * h)
             assert np.allclose(vd.dg, fd, atol=1e-7)
+
+
+def sampled_bump_grid():
+    bump = GaussianBumpIndex(n0=1.2, amplitude=0.3, center=[0, 0, 0], width=1.0)
+    xs = np.linspace(-1.5, 1.5, 13)
+    vals = np.array([[[bump.value([x, y, z]) for z in xs] for y in xs] for x in xs])
+    return GridIndex(values=vals, origin=(-1.5, -1.5, -1.5), spacing=(0.25, 0.25, 0.25))
+
+
+def test_jet_is_value_gradient_hessian_bit_for_bit(rng):
+    grid = sampled_bump_grid()
+    for _ in range(20):
+        for field in analytic_fields(rng) + [grid]:
+            x = rng.uniform(-0.8, 0.8, size=3)
+            n, grad_n, hess_n = field.jet(x)
+            assert type(n) is float and n == field.value(x)
+            assert grad_n.tobytes() == field.gradient(x).tobytes()
+            assert hess_n.tobytes() == field.hessian(x).tobytes()
+
+
+def test_base_jet_falls_back_to_the_three_methods():
+    class Custom(IndexField):
+        def value(self, x):
+            return 1.5 + float(x[0])
+
+        def gradient(self, x):
+            return np.array([1.0, 0.0, 0.0])
+
+        def hessian(self, x):
+            return np.zeros((3, 3))
+
+    n, grad_n, hess_n = Custom().jet([0.25, 0.0, 0.0])
+    assert n == 1.75
+    assert np.array_equal(grad_n, [1.0, 0.0, 0.0])
+    assert np.array_equal(hess_n, np.zeros((3, 3)))
+    assert velocity_data(Custom(), [0.25, 0.0, 0.0]).n == 1.75
+    with pytest.raises(ValueError):
+        Custom().jet([np.nan, 0.0, 0.0])
+
+
+def test_jet_out_of_domain_raises_like_value():
+    grid = GridIndex(values=np.full((5, 5, 5), 1.5), origin=(0, 0, 0), spacing=(1, 1, 1))
+    linear = LinearGradientIndex(n0=0.5, k=[0.0, 0.0, 1.0])
+    for field, x in ((grid, [0.5, 2.0, 2.0]), (grid, [2.0, 2.0, 3.5]), (linear, [0, 0, -1.5])):
+        with pytest.raises(OutOfDomainError):
+            field.value(x)
+        with pytest.raises(OutOfDomainError):
+            field.jet(x)
+        with pytest.raises(OutOfDomainError):
+            velocity_data(field, x)

@@ -6,10 +6,12 @@ from scipy.integrate import solve_ivp
 
 from spinray.curvature import christoffel
 from spinray.errors import DegenerateKernelError, SpinCurvatureSingularityError
+from spinray import propagation
 from spinray.fields import (
     ConstantIndex,
     GaussianBumpIndex,
     GridIndex,
+    IndexField,
     LinearGradientIndex,
 )
 from spinray.orbits import OrbitInvariants
@@ -354,3 +356,93 @@ def test_integrate_rejects_bad_arguments():
         integrate(start, inv, field, max_len=-1.0)
     with pytest.raises(ValueError):
         integrate(start, inv, field, model="warp")
+
+
+class CountingField(IndexField):
+    """Wraps a field and counts the calls of each of its entry points."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = dict.fromkeys(("jet", "value", "gradient", "hessian"), 0)
+
+    def _count(self, what, x):
+        self.calls[what] += 1
+        return getattr(self.inner, what)(x)
+
+    def jet(self, x):
+        return self._count("jet", x)
+
+    def value(self, x):
+        return self._count("value", x)
+
+    def gradient(self, x):
+        return self._count("gradient", x)
+
+    def hessian(self, x):
+        return self._count("hessian", x)
+
+
+DIRECTION_FNS = {
+    MODEL_SPINLESS: "direction_spinless",
+    MODEL_FULL: "direction_full_spin",
+    MODEL_LINEARIZED: "direction_linearized",
+    MODEL_GENERAL: "direction_general_metric",
+}
+
+
+@pytest.mark.parametrize("model", list(DIRECTION_FNS))
+def test_each_kernel_evaluation_takes_one_field_jet(monkeypatch, model):
+    field = CountingField(GaussianBumpIndex(n0=1.0, amplitude=0.45, center=(0, 0, 0), width=0.9))
+    name = DIRECTION_FNS[model]
+    kernel = getattr(propagation, name)
+    per_eval = []
+
+    def counted(*args):
+        before = dict(field.calls)
+        out = kernel(*args)
+        per_eval.append({k: field.calls[k] - before[k] for k in before})
+        return out
+
+    monkeypatch.setattr(propagation, name, counted)
+    start = PhotonState(x=[0.1, -0.2, -0.6], u=[0.1, 0.0, 1.0])
+    traj = integrate(start, OrbitInvariants(p=3.0, s=1.0), field, model=model,
+                     step=0.05, max_len=1.0, stop=lambda x: 0.2 - x[2])
+    assert traj.reason == "interface"
+    evals = len(per_eval)
+    assert evals > 4 * (len(traj) - 1)  # the bisection evaluates the kernel too
+    assert per_eval == [{"jet": 1, "value": 0, "gradient": 0, "hessian": 0}] * evals
+    # the rest is one momentum_hat jet per sample, and for the general
+    # model the value read by MetricState.from_photon at each evaluation
+    from_photon = evals if model == MODEL_GENERAL else 0
+    assert field.calls == {"jet": evals + len(traj), "value": from_photon,
+                           "gradient": 0, "hessian": 0}
+
+
+@pytest.mark.parametrize("model", list(DIRECTION_FNS))
+def test_integrate_rejects_a_field_with_a_nan_gradient(monkeypatch, model):
+    name = DIRECTION_FNS[model]
+    kernel = getattr(propagation, name)
+    finite_states = []
+
+    def recording(state, *rest):
+        finite_states.append(all(np.isfinite(v).all() for v in vars(state).values()))
+        return kernel(state, *rest)
+
+    monkeypatch.setattr(propagation, name, recording)
+
+    class NanGradient(IndexField):
+        def value(self, x):
+            return 1.2
+
+        def gradient(self, x):
+            return np.array([np.nan, 0.0, 0.0])
+
+        def hessian(self, x):
+            return np.zeros((3, 3))
+
+    start = PhotonState(x=[0.0, 0.0, 0.0], u=[0.0, 0.6, 0.8])
+    with pytest.raises(ValueError):
+        integrate(start, OrbitInvariants(p=2.0, s=1.0), NanGradient(), model=model,
+                  step=0.05, max_len=0.5)
+    # the bad state is rejected before any kernel sees it
+    assert finite_states and all(finite_states)

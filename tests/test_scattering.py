@@ -20,8 +20,6 @@ from spinray.scattering import (
     symplecto_check,
 )
 
-from conftest import random_unit
-
 THETAS = [math.radians(d) for d in (5, 15, 25, 35, 45, 55, 65, 75, 85)]
 RATIOS = [0.5, 1.5, 2.0, -1.0]
 
@@ -45,6 +43,17 @@ def test_interface_validation():
         Interface(normal=(0, 0, 1), anchor=(0, 0, 0), n1=1.0, n2=np.inf)
     with pytest.raises(ValueError):
         Interface(normal=(0, 0, 0), anchor=(0, 0, 0), n1=1.0, n2=1.5)
+
+
+def test_flipped_interface_swaps_sides():
+    iface = Interface(normal=(0.0, 0.6, 0.8), anchor=(1, 2, 3), n1=1.0, n2=-1.5)
+    flipped = iface.flipped()
+    assert np.array_equal(flipped.normal, -iface.normal)
+    assert np.array_equal(flipped.anchor, iface.anchor)
+    assert (flipped.n1, flipped.n2) == (-1.5, 1.0)
+    assert flipped.signed_distance([1, 2, 5]) == -iface.signed_distance([1, 2, 5])
+    back = flipped.flipped()
+    assert np.array_equal(back.normal, iface.normal) and (back.n1, back.n2) == (1.0, -1.5)
 
 
 def test_casimirs_signed():

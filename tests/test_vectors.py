@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from spinray.vectors import cross_matrix, orthonormal_complement, rotation_about, unit, vec3
+from spinray.vectors import (
+    cross,
+    cross_matrix,
+    orthonormal_complement,
+    rotation_about,
+    unit,
+    vec3,
+)
 
 from conftest import random_unit
 
@@ -28,6 +35,15 @@ def test_cross_matrix_matches_cross_product(rng):
     for _ in range(50):
         a, b = rng.normal(size=3), rng.normal(size=3)
         assert np.allclose(cross_matrix(a) @ b, np.cross(a, b), atol=1e-14)
+
+
+def test_cross_equals_numpy_cross_bit_for_bit(rng):
+    for _ in range(200):
+        a = rng.normal(size=3) * 10.0 ** rng.uniform(-8, 8)
+        b = rng.normal(size=3) * 10.0 ** rng.uniform(-8, 8)
+        assert cross(a, b).tobytes() == np.cross(a, b).tobytes()
+    e = np.eye(3)
+    assert cross(-e[0], e[0]).tobytes() == np.cross(-e[0], e[0]).tobytes()  # signed zeros
 
 
 def test_orthonormal_complement_right_handed(rng):
