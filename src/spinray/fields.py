@@ -178,15 +178,13 @@ class GridIndex(IndexField):
             raise ValueError("grid spacing must be positive")
         grads = np.gradient(values, *self.spacing, edge_order=2)
         self._grad = grads
-        # hess[a][b] sampled on nodes; symmetric by stencil symmetry
+        # hess[a][b] sampled on nodes for b >= a; the stencils commute, so
+        # hess[b][a] is the same table
         self._hess = [[None] * 3 for _ in range(3)]
         for a in range(3):
             second = np.gradient(grads[a], *self.spacing, edge_order=2)
-            for b in range(3):
-                if self._hess[b][a] is not None:
-                    self._hess[a][b] = self._hess[b][a]
-                else:
-                    self._hess[a][b] = second[b]
+            for b in range(a, 3):
+                self._hess[a][b] = self._hess[b][a] = second[b]
 
     def _locate(self, x) -> tuple[np.ndarray, list[np.ndarray]]:
         """Cell index of x and the trilinear weights along each axis."""
@@ -216,8 +214,11 @@ class GridIndex(IndexField):
         idx, weights = self._locate(x)
         n = self._checked(self._interp(self.values, idx, weights), x)
         grad = np.array([self._interp(g, idx, weights) for g in self._grad])
-        h = np.array([[self._interp(hab, idx, weights) for hab in row] for row in self._hess])
-        return n, grad, 0.5 * (h + h.T)
+        h = np.empty((3, 3))
+        for a in range(3):
+            for b in range(a, 3):
+                h[a, b] = h[b, a] = self._interp(self._hess[a][b], idx, weights)
+        return n, grad, h
 
     def gradient(self, x) -> np.ndarray:
         return self.jet(x)[1]

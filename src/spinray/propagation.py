@@ -110,17 +110,17 @@ class KernelDirection:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled path: arc parameter t, positions, directions, momenta phat.
+    """Sampled path: arc parameter t, positions and directions.
 
-    reason is one of "interface" (the stop predicate changed sign;
-    endpoint bisected onto the surface), "boundary" (the field ran out of
-    domain) or "max-steps" (the arc budget was used up).
+    reason is one of "interface" (the stop predicate changed sign; the
+    endpoint is the crossing that integrate located on the surface),
+    "boundary" (the field ran out of domain) or "max-steps" (the arc
+    budget was used up).
     """
 
     t: np.ndarray
     x: np.ndarray
     u: np.ndarray
-    p_hat: np.ndarray
     reason: str
     model: str
 
@@ -309,6 +309,44 @@ def _direction_fn(model: str, inv: OrbitInvariants, field: IndexField):
     return lambda st: direction_general_metric(MetricState.from_photon(st, field), inv, field)
 
 
+# The crossing search ends when the bracket on the step fraction is this
+# narrow, or when the stop predicate is this small in units of the step.
+_CROSSING_BRACKET = 1e-10
+_CROSSING_RESIDUAL = 1e-12
+
+
+def _locate_crossing(advance, f, f_lo: float, f_hi: float, f_tol: float):
+    """Step fraction, and the state there, at which f(advance(frac)) changes sign.
+
+    f_lo >= 0 and f_hi < 0 are f at fractions 0 and 1.  Illinois regula
+    falsi (Dowell & Jarratt, BIT 11, 168, 1971): each iterate is the
+    false-position point of the bracket [lo, hi]; when the same end moves
+    twice in a row, the value kept at the other end is halved.  A point not
+    strictly inside the bracket (as when f_lo == 0) becomes the midpoint.
+    A zero of f counts as the far side.  Returns the newest iterate.
+    """
+    lo, hi = 0.0, 1.0
+    moved = 0  # +1 after lo moved, -1 after hi moved
+    while True:
+        frac = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < frac < hi:
+            frac = 0.5 * (lo + hi)
+        state = advance(frac)
+        val = f(state)
+        if val > 0.0:
+            lo, f_lo = frac, val
+            if moved == 1:
+                f_hi *= 0.5
+            moved = 1
+        else:
+            hi, f_hi = frac, val
+            if moved == -1:
+                f_lo *= 0.5
+            moved = -1
+        if hi - lo <= _CROSSING_BRACKET or abs(val) <= f_tol:
+            return frac, state
+
+
 def integrate(
     start: PhotonState,
     inv: OrbitInvariants,
@@ -323,10 +361,14 @@ def integrate(
     The arc parameter is Euclidean path length (unit-speed gauge); u is
     renormalized after every step.  `stop`, if given, maps a position to a
     signed distance: integration ends when its sign differs from the sign
-    at the start, and the crossing step is bisected to 1e-10 of the step
-    so the final sample sits on the surface.  Running out of field domain
-    ends the trajectory at the last good sample with reason "boundary".
-    Kernel errors propagate with the offending arc parameter attached.
+    at the start.  The crossing inside that step is located by Illinois
+    regula falsi on the step fraction, each iterate a genuine RK4 step of
+    that fraction from the last sample; the search stops when the bracket
+    is 1e-10 of the step wide or when |stop| at the newest iterate is at
+    most 1e-12 of the step, and that iterate is the final sample.  Running
+    out of field domain ends the trajectory at the last good sample with
+    reason "boundary".  Kernel errors propagate with the offending arc
+    parameter attached.
     """
     if step <= 0.0 or max_len <= 0.0:
         raise ValueError("step and max_len must be positive")
@@ -350,12 +392,14 @@ def integrate(
         k4 = derivative(y + h * k3)
         out = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[3:] /= np.linalg.norm(out[3:])
+        if not np.isfinite(out).all():
+            raise ValueError("ray state has non-finite entries")
         return out
 
     y = np.concatenate([start.x, start.u])
+    field.value(start.x)  # a start outside the field's domain raises
     ts = [0.0]
-    samples = [y.copy()]
-    phats = [momentum_hat(start, inv, field)]
+    samples = [y]
     stop_sign = 0.0
     if stop is not None:
         stop_sign = math.copysign(1.0, stop(y[:3])) if stop(y[:3]) != 0.0 else 0.0
@@ -378,42 +422,27 @@ def integrate(
             if stop_sign == 0.0:
                 stop_sign = sign
             elif sign != 0.0 and sign != stop_sign:
-                lo, hi = 0.0, 1.0
-                while hi - lo > 1e-10:
-                    mid = 0.5 * (lo + hi)
-                    y_mid = rk4(y, h * mid)
-                    v_mid = stop(y_mid[:3])
-                    s_mid = math.copysign(1.0, v_mid) if v_mid != 0.0 else 0.0
-                    if s_mid == stop_sign:
-                        lo = mid
-                    else:
-                        hi = mid
-                frac = 0.5 * (lo + hi)
-                y_hit = rk4(y, h * frac)
+                frac, y = _locate_crossing(
+                    lambda frac: rk4(y, h * frac),
+                    lambda z: stop_sign * stop(z[:3]),
+                    stop_sign * stop(y[:3]),
+                    stop_sign * val,
+                    _CROSSING_RESIDUAL * h,
+                )
+                field.value(y[:3])
                 t += h * frac
-                y = y_hit
                 ts.append(t)
-                samples.append(y.copy())
-                phats.append(momentum_hat(PhotonState(x=y[:3], u=y[3:]), inv, field))
+                samples.append(y)
                 reason = "interface"
                 break
+        try:
+            field.value(y_next[:3])
+        except OutOfDomainError:
+            reason = "boundary"
+            break
         t += h
         y = y_next
         ts.append(t)
-        samples.append(y.copy())
-        try:
-            phats.append(momentum_hat(PhotonState(x=y[:3], u=y[3:]), inv, field))
-        except OutOfDomainError:
-            ts.pop()
-            samples.pop()
-            reason = "boundary"
-            break
+        samples.append(y)
     arr = np.array(samples)
-    return Trajectory(
-        t=np.array(ts),
-        x=arr[:, :3],
-        u=arr[:, 3:],
-        p_hat=np.array(phats),
-        reason=reason,
-        model=model,
-    )
+    return Trajectory(t=np.array(ts), x=arr[:, :3], u=arr[:, 3:], reason=reason, model=model)

@@ -2,9 +2,16 @@
 
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+# The CLI and demo tests run `python -m spinray` and the demo scripts in
+# subprocesses; they import the package from this checkout's src/.
+SRC = Path(__file__).resolve().parent.parent / "src"
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

@@ -1,6 +1,5 @@
 """Every demo script runs to completion against the package in src/."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,13 +8,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-SRC = ROOT / "src"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -221,6 +221,22 @@ def test_jet_is_value_gradient_hessian_bit_for_bit(rng):
             assert hess_n.tobytes() == field.hessian(x).tobytes()
 
 
+def test_grid_hessian_is_the_per_entry_interpolation_and_exactly_symmetric(rng):
+    vals = 1.5 + 0.1 * rng.standard_normal((7, 8, 9))
+    spacing = (0.5, 0.25, 0.125)
+    grid = GridIndex(values=vals, origin=(-1.0, 0.0, 2.0), spacing=spacing)
+    grads = np.gradient(vals, *spacing, edge_order=2)
+    second = [np.gradient(grads[a], *spacing, edge_order=2) for a in range(3)]
+    for _ in range(20):
+        x = grid.origin + rng.uniform(1.0, 4.0, size=3) * grid.spacing
+        idx, weights = grid._locate(x)
+        per_entry = np.array([[grid._interp(second[min(a, b)][max(a, b)], idx, weights)
+                               for b in range(3)] for a in range(3)])
+        hess = grid.jet(x)[2]
+        assert hess.tobytes() == per_entry.tobytes()
+        assert hess.tobytes() == hess.T.tobytes()
+
+
 def test_base_jet_falls_back_to_the_three_methods():
     class Custom(IndexField):
         def value(self, x):

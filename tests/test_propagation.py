@@ -409,12 +409,12 @@ def test_each_kernel_evaluation_takes_one_field_jet(monkeypatch, model):
                      step=0.05, max_len=1.0, stop=lambda x: 0.2 - x[2])
     assert traj.reason == "interface"
     evals = len(per_eval)
-    assert evals > 4 * (len(traj) - 1)  # the bisection evaluates the kernel too
+    assert evals > 4 * (len(traj) - 1)  # the crossing search evaluates the kernel too
     assert per_eval == [{"jet": 1, "value": 0, "gradient": 0, "hessian": 0}] * evals
-    # the rest is one momentum_hat jet per sample, and for the general
+    # the rest is one domain check (value) per sample, and for the general
     # model the value read by MetricState.from_photon at each evaluation
     from_photon = evals if model == MODEL_GENERAL else 0
-    assert field.calls == {"jet": evals + len(traj), "value": from_photon,
+    assert field.calls == {"jet": evals, "value": len(traj) + from_photon,
                            "gradient": 0, "hessian": 0}
 
 
@@ -446,3 +446,185 @@ def test_integrate_rejects_a_field_with_a_nan_gradient(monkeypatch, model):
                   step=0.05, max_len=0.5)
     # the bad state is rejected before any kernel sees it
     assert finite_states and all(finite_states)
+
+
+# -- the crossing search -----------------------------------------------------
+
+CROSSING_LENS = GaussianBumpIndex(n0=1.0, amplitude=0.45, center=(0.3, 0.0, 0.1), width=0.9)
+CROSSING_STEP = 0.05
+
+
+def count_kernel_evals(monkeypatch, model):
+    """Patch the model's direction function to count its calls in a list."""
+    name = DIRECTION_FNS[canonical_model(model)]
+    kernel = getattr(propagation, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return kernel(*args)
+
+    monkeypatch.setattr(propagation, name, counted)
+    return calls
+
+
+def bisected_crossing_t(traj, inv, field, model, stop):
+    """Arc parameter of the crossing in the last step, bisected to 1e-10 of it.
+
+    Each probe is one integrate step of the probed length from the last
+    sample before the crossing, as the search inside integrate takes it.
+    """
+    start = traj.state(len(traj) - 2)
+    stop_sign = math.copysign(1.0, stop(traj.x[0]))
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        h = CROSSING_STEP * mid
+        val = stop(integrate(start, inv, field, model=model, step=h, max_len=h).x[-1])
+        if val != 0.0 and math.copysign(1.0, val) == stop_sign:
+            lo = mid
+        else:
+            hi = mid
+    return traj.t[-2] + CROSSING_STEP * 0.5 * (lo + hi)
+
+
+def plane_across_path(rng, inv, field, model, incidence=None):
+    """Start state and a plane that its path crosses midway.
+
+    The plane passes through a point between two samples of the free path;
+    its normal is random with |u.n| >= 0.1 there, or, given `incidence`,
+    makes u.n = incidence with the direction at that point.
+    """
+    start = PhotonState(x=rng.uniform(-0.5, 0.5, size=3), u=random_unit(rng))
+    free = integrate(start, inv, field, model=model, step=CROSSING_STEP, max_len=1.0)
+    k = int(rng.integers(4, len(free) - 4))
+    anchor = free.x[k] + rng.uniform() * (free.x[k + 1] - free.x[k])
+    u = free.u[k]
+    if incidence is None:
+        normal = random_unit(rng)
+        while abs(normal @ u) < 0.1:
+            normal = random_unit(rng)
+    else:
+        w = random_unit(rng)
+        w = w - u * float(w @ u)
+        normal = math.sqrt(1.0 - incidence**2) * w / np.linalg.norm(w) + incidence * u
+    return start, lambda x: float(normal @ (x - anchor)), normal
+
+
+@pytest.mark.parametrize("model", list(DIRECTION_FNS))
+def test_plane_crossing_in_constant_medium_costs_at_most_two_rk4_calls(monkeypatch, rng, model):
+    field = ConstantIndex(n0=1.3)
+    inv = OrbitInvariants(p=3.0, s=1.0)
+    calls = count_kernel_evals(monkeypatch, model)
+    for _ in range(5):
+        start, stop, _ = plane_across_path(rng, inv, field, model)
+        calls.clear()
+        traj = integrate(start, inv, field, model=model, step=CROSSING_STEP,
+                         max_len=1.0, stop=stop)
+        assert traj.reason == "interface"
+        # full steps, then the step that overshot and the search's iterates
+        full_steps = len(traj) - 2
+        assert len(calls) % 4 == 0
+        assert len(calls) <= 4 * full_steps + 8
+
+
+@pytest.mark.parametrize("model", list(DIRECTION_FNS))
+def test_crossing_agrees_with_a_reference_bisection(rng, model):
+    for field in (CROSSING_LENS, ConstantIndex(n0=1.3)):
+        for _ in range(3):
+            inv = OrbitInvariants(p=3.0, s=float(rng.choice([-1.0, 1.0])))
+            start, stop, _ = plane_across_path(rng, inv, field, model)
+            traj = integrate(start, inv, field, model=model, step=CROSSING_STEP,
+                             max_len=1.0, stop=stop)
+            assert traj.reason == "interface"
+            t_ref = bisected_crossing_t(traj, inv, field, model, stop)
+            assert abs(traj.t[-1] - t_ref) <= 1e-10 * CROSSING_STEP
+            assert abs(stop(traj.x[-1])) <= 1e-11 * (1.0 + np.linalg.norm(traj.x[-1]))
+
+
+@pytest.mark.parametrize("model", list(DIRECTION_FNS))
+def test_crossing_from_a_start_on_the_surface(model):
+    # stop is zero at the start and positive until z = 0.3: its sign is
+    # taken from the first step, and the crossing is the far root
+    field = ConstantIndex(n0=1.2)
+    u = np.array([0.6, 0.0, 0.8])
+    start = PhotonState(x=[0.0, 0.0, 0.0], u=u)
+
+    def stop(x):
+        return float(x[2] * (0.3 - x[2]))
+
+    assert stop(start.x) == 0.0
+    traj = integrate(start, OrbitInvariants(p=3.0, s=1.0), field, model=model,
+                     step=CROSSING_STEP, max_len=1.0, stop=stop)
+    assert traj.reason == "interface"
+    assert abs(traj.t[-1] - 0.3 / 0.8) <= 1e-10 * CROSSING_STEP
+    assert abs(stop(traj.x[-1])) <= 1e-12 * CROSSING_STEP
+
+
+@pytest.mark.parametrize("model", list(DIRECTION_FNS))
+def test_crossing_from_a_sample_on_the_surface(model):
+    # a committed sample lands exactly on the plane and the next step
+    # crosses it: the false-position point is the bracket's end, so the
+    # search takes midpoints and stays at that sample
+    field = ConstantIndex(n0=1.2)
+    inv = OrbitInvariants(p=3.0, s=1.0)
+    start = PhotonState(x=[0.1, -0.2, -0.4], u=[0.3, 0.1, 0.9])
+    free = integrate(start, inv, field, model=model, step=CROSSING_STEP, max_len=1.0)
+    k = 6
+    z_k = free.x[k][2]
+
+    def stop(x):
+        return float(x[2] - z_k)
+
+    traj = integrate(start, inv, field, model=model, step=CROSSING_STEP,
+                     max_len=1.0, stop=stop)
+    assert traj.reason == "interface"
+    assert len(traj) == k + 2
+    assert np.array_equal(traj.x[: k + 1], free.x[: k + 1])
+    assert 0.0 < traj.t[-1] - free.t[k] <= 1e-10 * CROSSING_STEP
+    assert abs(stop(traj.x[-1])) <= 1e-10 * CROSSING_STEP
+
+
+@pytest.mark.parametrize("model", list(DIRECTION_FNS))
+def test_crossing_through_the_kink_of_a_min_of_two_planes(monkeypatch, model):
+    # as in the runner's stop predicate, the minimum of two signed plane
+    # distances; along the ray the kink (x = 0.94 / 0.95) and the root
+    # (x = 0.99) fall inside the same step, with the shallow plane first
+    field = ConstantIndex(n0=1.0)
+    inv = OrbitInvariants(p=3.0, s=-1.0)
+    start = PhotonState(x=[0.0, 0.0, 0.0], u=[1.0, 0.0, 0.0])
+
+    def stop(x):
+        return min(0.05 * (1.0 - x[0]), 0.99 - x[0])
+
+    calls = count_kernel_evals(monkeypatch, model)
+    traj = integrate(start, inv, field, model=model, step=0.1, max_len=2.0, stop=stop)
+    assert traj.reason == "interface"
+    assert traj.t[-2] < 0.94 / 0.95 < 0.99 < traj.t[-2] + 0.1
+    assert abs(traj.t[-1] - 0.99) <= 1e-10 * 0.1
+    assert abs(stop(traj.x[-1])) <= 1e-12 * 0.1
+    search_calls = len(calls) // 4 - (len(traj) - 2) - 1
+    # 8 here; plain regula falsi, keeping the stale end's value, takes 18
+    # and bisection 35
+    assert search_calls <= 10
+
+
+@pytest.mark.parametrize("model", list(DIRECTION_FNS))
+def test_crossing_at_grazing_incidence(monkeypatch, rng, model):
+    # |u.n| ~ 1e-3: the residual rule |stop| <= 1e-12 step then bounds the
+    # arc parameter only to 1e-12 step / |u.n|, not to the bracket's 1e-10
+    calls = count_kernel_evals(monkeypatch, model)
+    for field in (CROSSING_LENS, ConstantIndex(n0=1.3)):
+        inv = OrbitInvariants(p=3.0, s=float(rng.choice([-1.0, 1.0])))
+        start, stop, normal = plane_across_path(rng, inv, field, model, incidence=1e-3)
+        calls.clear()
+        traj = integrate(start, inv, field, model=model, step=CROSSING_STEP,
+                         max_len=1.0, stop=stop)
+        assert traj.reason == "interface"
+        search_calls = len(calls) // 4 - (len(traj) - 2) - 1
+        assert search_calls <= 12  # bisection took 35
+        incidence = abs(float(normal @ traj.u[-1]))
+        assert 1e-4 < incidence < 0.05
+        t_ref = bisected_crossing_t(traj, inv, field, model, stop)
+        assert abs(traj.t[-1] - t_ref) <= CROSSING_STEP * (1e-10 + 1e-12 / incidence)
+        assert abs(stop(traj.x[-1])) <= 1e-12 * CROSSING_STEP
