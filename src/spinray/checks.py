@@ -310,15 +310,15 @@ def builtin_checks(seed: int = 0, corrupt_rho: bool = False) -> list[CheckResult
     ]
 
 
-def scene_checks(scene: Scene, seed: int = 0, model: str = MODEL_FULL) -> list[CheckResult]:
-    """Trace every source of a scene and re-verify each scatter event.
+def scene_checks(scene: Scene) -> list[CheckResult]:
+    """Trace every source of a scene with the full model; re-verify each scatter event.
 
     An empty scene (no sources) yields zero checks; the report layer
     flags that as a warning rather than a pass of substance.
     """
     results = []
     for i in range(len(scene.sources)):
-        trace = run_trace(scene, i, model=model)
+        trace = run_trace(scene, i, model=MODEL_FULL)
         worst = 0.0
         n_events = 0
         for ev in trace.scatter_events:

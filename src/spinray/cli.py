@@ -59,7 +59,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_check(args) -> int:
     if args.scene is not None:
         scene = _load_scene(args.scene)
-        results = scene_checks(scene, seed=args.seed)
+        results = scene_checks(scene)
         suite = "scene"
     else:
         results = builtin_checks(seed=args.seed, corrupt_rho=args.corrupt_rho)

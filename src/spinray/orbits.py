@@ -120,10 +120,7 @@ def make_ray(q, u) -> Ray:
     u is renormalized and q replaced by its component orthogonal to u, so
     inputs that have drifted off the constraints by rounding are accepted.
     """
-    u = unit(u)
-    q = vec3(q)
-    q = q - u * float(u @ q)
-    return Ray(q=q, u=u)
+    return ray_from_point_direction(q, u)
 
 
 def ray_from_point_direction(x, u) -> Ray:
@@ -181,11 +178,16 @@ def momentum_map(x, u, inv: OrbitInvariants) -> MomentumValue:
     return MomentumValue(ell=ell, pvec=pvec)
 
 
+def _twisted_form(p: float, s: float, u, a: OrbitTangent, b: OrbitTangent) -> float:
+    """p (<a.du, b.dq> - <b.du, a.dq>) - s <u, a.du x b.du>, with p a plain scalar
+    so that it may be the signed p n of a medium (OrbitInvariants needs p > 0)."""
+    straight = float(a.du @ b.dq) - float(b.du @ a.dq)
+    return p * straight - s * float(u @ cross(a.du, b.du))
+
+
 def symplectic_form(ray: Ray, a: OrbitTangent, b: OrbitTangent, inv: OrbitInvariants) -> float:
     """Evaluate the twisted 2-form omega on two tangent vectors."""
-    straight = float(a.du @ b.dq) - float(b.du @ a.dq)
-    twist = float(ray.u @ cross(a.du, b.du))
-    return inv.p * straight - inv.s * twist
+    return _twisted_form(inv.p, inv.s, ray.u, a, b)
 
 
 def tangent_basis(ray: Ray) -> list[OrbitTangent]:

@@ -101,11 +101,10 @@ class MetricState:
 
 @dataclass(frozen=True)
 class KernelDirection:
-    """Unit-speed kernel direction (dx, du) with its producing model tag."""
+    """Unit-speed kernel direction (dx, du)."""
 
     dx: np.ndarray
     du: np.ndarray
-    model: str
 
 
 @dataclass(frozen=True)
@@ -170,7 +169,7 @@ def direction_spinless(state: PhotonState, field: IndexField) -> KernelDirection
     vd = velocity_data(field, state.x)
     u = state.u
     du = (vd.grad_n - u * float(u @ vd.grad_n)) / vd.n
-    return KernelDirection(dx=u.copy(), du=du, model=MODEL_SPINLESS)
+    return KernelDirection(dx=u.copy(), du=du)
 
 
 def direction_full_spin(
@@ -185,8 +184,7 @@ def direction_full_spin(
     1/p).
     """
     if inv.s == 0.0:
-        base = direction_spinless(state, field)
-        return KernelDirection(dx=base.dx, du=base.du, model=MODEL_FULL)
+        return direction_spinless(state, field)
     vd = velocity_data(field, state.x)
     u = state.u
     s_over_p2 = inv.s**2 / inv.p**2
@@ -195,7 +193,7 @@ def direction_full_spin(
     dx, _ = _oriented_unit(raw, u, MODEL_FULL)
     du = (vd.n / inv.s) * cross(u, inv.p * dx - inv.s * cross(vd.g, dx))
     du = du - u * float(u @ du)
-    return KernelDirection(dx=dx, du=du, model=MODEL_FULL)
+    return KernelDirection(dx=dx, du=du)
 
 
 def direction_linearized(
@@ -221,7 +219,7 @@ def direction_linearized(
     inv_op = (np.eye(3) - cross_matrix(z) + np.outer(z, z)) / (1.0 + zz)
     du = inv_op @ rhs / (vd.n * p)
     du = du - u * float(u @ du)
-    return KernelDirection(dx=dx, du=du, model=MODEL_LINEARIZED)
+    return KernelDirection(dx=dx, du=du)
 
 
 def direction_general_metric(
@@ -254,7 +252,7 @@ def direction_general_metric(
     dx, scale = _oriented_unit(dX, u, MODEL_GENERAL)
     du = du_raw * scale
     du = du - u * float(u @ du)
-    return KernelDirection(dx=dx, du=du, model=MODEL_GENERAL)
+    return KernelDirection(dx=dx, du=du)
 
 
 def kernel_residual(

@@ -44,7 +44,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotIncomingError, TotalReflectionRequiredError
-from .orbits import OrbitInvariants, Ray, make_ray, orbit_tangent, translate_ray
+from .orbits import (
+    OrbitInvariants,
+    OrbitTangent,
+    Ray,
+    _twisted_form,
+    make_ray,
+    orbit_tangent,
+    translate_ray,
+)
 from .vectors import cross, rotation_about, unit, vec3
 
 MODE_REFRACTION = "refraction"
@@ -292,11 +300,6 @@ def conservation_check(
     return ConservationResiduals(angular=angular, tangential=tangential, scale=scale)
 
 
-def _orbit_form(p_signed: float, s: float, u, a_du, a_dq, b_du, b_dq) -> float:
-    straight = float(a_du @ b_dq) - float(b_du @ a_dq)
-    return p_signed * straight - s * float(u @ cross(a_du, b_du))
-
-
 def symplecto_check(
     ray1: Ray,
     s1: float,
@@ -323,23 +326,21 @@ def symplecto_check(
     p_in = inv.p * iface.n1
     p_out = inv.p * (iface.n2 if base.mode == MODE_REFRACTION else iface.n1)
 
-    def push(tan) -> tuple[np.ndarray, np.ndarray]:
+    def push(tan) -> OrbitTangent:
         plus = _perturb_ray(ray1, tan, h)
         minus = _perturb_ray(ray1, tan, -h)
         out_p = scatter(plus, s1, iface, inv, mode=forced, zero_rho=zero_rho)
         out_m = scatter(minus, s1, iface, inv, mode=forced, zero_rho=zero_rho)
         dq = (out_p.ray2.q - out_m.ray2.q) / (2.0 * h)
         du = (out_p.ray2.u - out_m.ray2.u) / (2.0 * h)
-        return dq, du
+        return OrbitTangent(dq=dq, du=du)
 
     worst = 0.0
     for _ in range(samples):
         a = orbit_tangent(ray1, rng.normal(size=3), rng.normal(size=3), project=True)
         b = orbit_tangent(ray1, rng.normal(size=3), rng.normal(size=3), project=True)
-        w_in = _orbit_form(p_in, s1, ray1.u, a.du, a.dq, b.du, b.dq)
-        a_dq, a_du = push(a)
-        b_dq, b_du = push(b)
-        w_out = _orbit_form(p_out, base.s2, base.ray2.u, a_du, a_dq, b_du, b_dq)
+        w_in = _twisted_form(p_in, s1, ray1.u, a, b)
+        w_out = _twisted_form(p_out, base.s2, base.ray2.u, push(a), push(b))
         worst = max(worst, abs(w_in - w_out))
     return worst
 

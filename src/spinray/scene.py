@@ -23,7 +23,8 @@ Field variants: constant {n0}, linear_gradient {n0, gradient},
 gaussian_bump {n0, amplitude, center, width}, grid {path} where path
 points at a grid text file resolved against the scene file location.
 Region variants: half_space {normal, offset} (inside means
-<normal, x> < offset) and box {min, max}.
+<normal, x> < offset) and box {min, max}.  The keys of every record kind
+are listed once, in the key tables that parse_scene and emit_scene share.
 
 Angles never appear in scene documents (directions are vectors); sweep
 documents carry angles in degrees, converted to radians on parse.  All
@@ -55,6 +56,7 @@ from .vectors import vec3
 SCENE_VERSION = 1
 SWEEP_VERSION = 1
 SWEEP_PARAMETERS = ("incidence_angle", "index_ratio", "spin", "color")
+_SWEEP_BASE = {"n1": 1.0, "n2": 1.5, "theta1_deg": 30.0, "p": 1.0, "s": 1.0}
 
 
 @dataclass(frozen=True)
@@ -184,68 +186,80 @@ def _vector(obj, path: str) -> np.ndarray:
     return np.array([_number(c, f"{path}[{i}]") for i, c in enumerate(obj)])
 
 
-def _parse_region(obj, path: str) -> HalfSpace | Box:
-    _require_keys(obj, {"type": True, "normal": False, "offset": False,
-                        "min": False, "max": False}, path)
-    kind = obj.get("type")
+# One key table per record kind: the class and, per constructor argument,
+# (JSON key, attribute, reader).  parse_scene reads and emit_scene writes
+# the keys in table order; grid fields read a file and stay a special case.
+_REGIONS = {
+    "half_space": (HalfSpace, (("normal", "normal", _vector), ("offset", "offset", _number))),
+    "box": (Box, (("min", "lo", _vector), ("max", "hi", _vector))),
+}
+_FIELDS = {
+    "constant": (ConstantIndex, (("n0", "n0", _number),)),
+    "linear_gradient": (LinearGradientIndex, (("n0", "n0", _number), ("gradient", "k", _vector))),
+    "gaussian_bump": (GaussianBumpIndex, (("n0", "n0", _number),
+                                          ("amplitude", "amplitude", _number),
+                                          ("center", "center", _vector),
+                                          ("width", "width", _number))),
+}
+_INTERFACE = (Interface, (("normal", "normal", _vector), ("anchor", "anchor", _vector),
+                          ("n1", "n1", _number), ("n2", "n2", _number)))
+_SOURCE = (Source, (("origin", "origin", _vector), ("direction", "direction", _vector),
+                    ("p", "p", _number), ("s", "s", _number)))
+_LIMITS = (Limits, (("max_path_length", "max_path_length", _number),
+                    ("max_interface_events", "max_interface_events", _integer)))
+
+
+def _read_record(table, obj, path: str, typed: bool = False):
+    """Build a record from a JSON object through its key table; typed
+    objects also carry the "type" key that selected the table."""
+    cls, keys = table
+    allowed = {"type": True} if typed else {}
+    _require_keys(obj, allowed | {key: True for key, _, _ in keys}, path)
     try:
-        if kind == "half_space":
-            _require_keys(obj, {"type": True, "normal": True, "offset": True}, path)
-            return HalfSpace(normal=_vector(obj["normal"], f"{path}.normal"),
-                             offset=_number(obj["offset"], f"{path}.offset"))
-        if kind == "box":
-            _require_keys(obj, {"type": True, "min": True, "max": True}, path)
-            return Box(lo=_vector(obj["min"], f"{path}.min"),
-                       hi=_vector(obj["max"], f"{path}.max"))
+        return cls(**{attr: read(obj[key], f"{path}.{key}") for key, attr, read in keys})
     except ValueError as exc:
         raise SceneError(f"{path}: {exc}") from exc
-    raise SceneError(f"{path}.type: unknown region type {kind!r}")
+
+
+def _read_typed(tables: dict, obj: dict, path: str, what: str):
+    kind = obj["type"]
+    if not (isinstance(kind, str) and kind in tables):
+        raise SceneError(f"{path}.type: unknown {what} type {kind!r}")
+    return _read_record(tables[kind], obj, path, typed=True)
+
+
+def _write_record(table, record) -> dict:
+    """The JSON object of a record, keys from its table."""
+    doc = {}
+    for key, attr, _ in table[1]:
+        val = getattr(record, attr)
+        doc[key] = val.tolist() if isinstance(val, np.ndarray) else val
+    return doc
+
+
+def _write_typed(tables: dict, record, what: str) -> dict:
+    for kind, table in tables.items():
+        if isinstance(record, table[0]):
+            return {"type": kind, **_write_record(table, record)}
+    raise SceneError(f"cannot serialize {what} type {type(record).__name__}")
 
 
 def _parse_field(obj, path: str, base_dir: Path) -> tuple[IndexField, str | None]:
     if not isinstance(obj, dict) or "type" not in obj:
         raise SceneError(f"{path}: expected an object with a 'type' key")
-    kind = obj["type"]
+    if obj["type"] != "grid":
+        return _read_typed(_FIELDS, obj, path, "field"), None
+    _require_keys(obj, {"type": True, "path": True}, path)
+    rel = obj["path"]
+    if not isinstance(rel, str):
+        raise SceneError(f"{path}.path: expected a string")
+    full = base_dir / rel
     try:
-        if kind == "constant":
-            _require_keys(obj, {"type": True, "n0": True}, path)
-            return ConstantIndex(n0=_number(obj["n0"], f"{path}.n0")), None
-        if kind == "linear_gradient":
-            _require_keys(obj, {"type": True, "n0": True, "gradient": True}, path)
-            return (
-                LinearGradientIndex(
-                    n0=_number(obj["n0"], f"{path}.n0"),
-                    k=_vector(obj["gradient"], f"{path}.gradient"),
-                ),
-                None,
-            )
-        if kind == "gaussian_bump":
-            _require_keys(
-                obj, {"type": True, "n0": True, "amplitude": True, "center": True, "width": True},
-                path,
-            )
-            return (
-                GaussianBumpIndex(
-                    n0=_number(obj["n0"], f"{path}.n0"),
-                    amplitude=_number(obj["amplitude"], f"{path}.amplitude"),
-                    center=_vector(obj["center"], f"{path}.center"),
-                    width=_number(obj["width"], f"{path}.width"),
-                ),
-                None,
-            )
-        if kind == "grid":
-            _require_keys(obj, {"type": True, "path": True}, path)
-            rel = obj["path"]
-            if not isinstance(rel, str):
-                raise SceneError(f"{path}.path: expected a string")
-            full = base_dir / rel
-            try:
-                return load_index_grid(full), rel
-            except OSError as exc:
-                raise SceneError(f"{path}.path: cannot read grid file {full}: {exc}") from exc
+        return load_index_grid(full), rel
+    except OSError as exc:
+        raise SceneError(f"{path}.path: cannot read grid file {full}: {exc}") from exc
     except ValueError as exc:
         raise SceneError(f"{path}: {exc}") from exc
-    raise SceneError(f"{path}.type: unknown field type {kind!r}")
 
 
 def _validate_scene(scene: Scene) -> None:
@@ -311,48 +325,23 @@ def parse_scene(text: str, base_dir: str | Path | None = None) -> Scene:
     media = []
     if not isinstance(doc["media"], list) or not doc["media"]:
         raise SceneError("media: expected a non-empty array")
+    region_keys = {key: False for _, keys in _REGIONS.values() for key, _, _ in keys}
     for i, entry in enumerate(doc["media"]):
         path = f"media[{i}]"
         _require_keys(entry, {"region": True, "field": True}, path)
-        region = _parse_region(entry["region"], f"{path}.region")
+        _require_keys(entry["region"], {"type": True, **region_keys}, f"{path}.region")
+        region = _read_typed(_REGIONS, entry["region"], f"{path}.region", "region")
         fld, grid_path = _parse_field(entry["field"], f"{path}.field", base)
         media.append(Medium(region=region, field=fld, grid_path=grid_path))
-    interfaces = []
-    for k, entry in enumerate(doc.get("interfaces", [])):
-        path = f"interfaces[{k}]"
-        _require_keys(entry, {"normal": True, "anchor": True, "n1": True, "n2": True}, path)
-        try:
-            interfaces.append(
-                Interface(
-                    normal=_vector(entry["normal"], f"{path}.normal"),
-                    anchor=_vector(entry["anchor"], f"{path}.anchor"),
-                    n1=_number(entry["n1"], f"{path}.n1"),
-                    n2=_number(entry["n2"], f"{path}.n2"),
-                )
-            )
-        except ValueError as exc:
-            raise SceneError(f"{path}: {exc}") from exc
-    sources = []
+    interfaces = [
+        _read_record(_INTERFACE, entry, f"interfaces[{k}]")
+        for k, entry in enumerate(doc.get("interfaces", []))
+    ]
     if not isinstance(doc["sources"], list):
         raise SceneError("sources: expected an array")
-    for i, entry in enumerate(doc["sources"]):
-        path = f"sources[{i}]"
-        _require_keys(entry, {"origin": True, "direction": True, "p": True, "s": True}, path)
-        sources.append(
-            Source(
-                origin=_vector(entry["origin"], f"{path}.origin"),
-                direction=_vector(entry["direction"], f"{path}.direction"),
-                p=_number(entry["p"], f"{path}.p"),
-                s=_number(entry["s"], f"{path}.s"),
-            )
-        )
-    _require_keys(doc["limits"], {"max_path_length": True, "max_interface_events": True}, "limits")
-    limits = Limits(
-        max_path_length=_number(doc["limits"]["max_path_length"], "limits.max_path_length"),
-        max_interface_events=_integer(
-            doc["limits"]["max_interface_events"], "limits.max_interface_events"
-        ),
-    )
+    sources = [_read_record(_SOURCE, entry, f"sources[{i}]")
+               for i, entry in enumerate(doc["sources"])]
+    limits = _read_record(_LIMITS, doc["limits"], "limits")
     if limits.max_path_length <= 0.0:
         raise SceneError("limits.max_path_length: must be positive")
     if limits.max_interface_events < 0:
@@ -364,68 +353,23 @@ def parse_scene(text: str, base_dir: str | Path | None = None) -> Scene:
     return scene
 
 
-def _field_doc(medium: Medium) -> dict:
-    f = medium.field
-    if isinstance(f, ConstantIndex):
-        return {"type": "constant", "n0": f.n0}
-    if isinstance(f, LinearGradientIndex):
-        return {"type": "linear_gradient", "n0": f.n0, "gradient": f.k.tolist()}
-    if isinstance(f, GaussianBumpIndex):
-        return {
-            "type": "gaussian_bump",
-            "n0": f.n0,
-            "amplitude": f.amplitude,
-            "center": f.center.tolist(),
-            "width": f.width,
-        }
-    if isinstance(f, GridIndex):
-        if medium.grid_path is None:
-            raise SceneError("grid fields can only be emitted when loaded from a path")
-        return {"type": "grid", "path": medium.grid_path}
-    raise SceneError(f"cannot serialize field type {type(f).__name__}")
-
-
 def emit_scene(scene: Scene) -> str:
     """Serialize a scene back to canonical JSON (parse(emit(s)) == s)."""
+    media = []
+    for m in scene.media:
+        if not isinstance(m.field, GridIndex):
+            field = _write_typed(_FIELDS, m.field, "field")
+        elif m.grid_path is None:
+            raise SceneError("grid fields can only be emitted when loaded from a path")
+        else:
+            field = {"type": "grid", "path": m.grid_path}
+        media.append({"region": _write_typed(_REGIONS, m.region, "region"), "field": field})
     doc = {
         "spinray_scene": SCENE_VERSION,
-        "media": [
-            {
-                "region": (
-                    {
-                        "type": "half_space",
-                        "normal": m.region.normal.tolist(),
-                        "offset": m.region.offset,
-                    }
-                    if isinstance(m.region, HalfSpace)
-                    else {"type": "box", "min": m.region.lo.tolist(), "max": m.region.hi.tolist()}
-                ),
-                "field": _field_doc(m),
-            }
-            for m in scene.media
-        ],
-        "interfaces": [
-            {
-                "normal": i.normal.tolist(),
-                "anchor": i.anchor.tolist(),
-                "n1": i.n1,
-                "n2": i.n2,
-            }
-            for i in scene.interfaces
-        ],
-        "sources": [
-            {
-                "origin": s.origin.tolist(),
-                "direction": s.direction.tolist(),
-                "p": s.p,
-                "s": s.s,
-            }
-            for s in scene.sources
-        ],
-        "limits": {
-            "max_path_length": scene.limits.max_path_length,
-            "max_interface_events": scene.limits.max_interface_events,
-        },
+        "media": media,
+        "interfaces": [_write_record(_INTERFACE, i) for i in scene.interfaces],
+        "sources": [_write_record(_SOURCE, s) for s in scene.sources],
+        "limits": _write_record(_LIMITS, scene.limits),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -465,14 +409,10 @@ def parse_sweep(text: str) -> SweepSpec:
     if count < 2:
         raise SceneError("count: a sweep needs at least 2 samples")
     base = doc.get("base", {})
-    _require_keys(
-        base, {"n1": False, "n2": False, "theta1_deg": False, "p": False, "s": False}, "base"
+    _require_keys(base, dict.fromkeys(_SWEEP_BASE, False), "base")
+    n1, n2, theta1_deg, p, s = (
+        _number(base.get(key, default), f"base.{key}") for key, default in _SWEEP_BASE.items()
     )
-    n1 = _number(base.get("n1", 1.0), "base.n1")
-    n2 = _number(base.get("n2", 1.5), "base.n2")
-    theta1_deg = _number(base.get("theta1_deg", 30.0), "base.theta1_deg")
-    p = _number(base.get("p", 1.0), "base.p")
-    s = _number(base.get("s", 1.0), "base.s")
     if parameter == "incidence_angle":
         lo, hi = min(start, stop), max(start, stop)
         if lo < 0.0 or hi >= 90.0:

@@ -1,9 +1,13 @@
 """No module of the package, the tests or the demos imports a name it
-does not use.
+does not use, and no private name of the package is left unreferenced.
 
 A static scan with the standard-library ast module: an imported name
 counts as used when it appears as a name anywhere in the module or is
-listed in the module's __all__.  __future__ imports are exempt.
+listed in the module's __all__.  __future__ imports are exempt.  A
+private function, class or constant at module level of src/spinray, or a
+private method of one of its classes, counts as referenced when its name
+is read (as a name, an attribute or an imported name) anywhere in the
+package, the tests or the demos.
 """
 
 import ast
@@ -46,3 +50,48 @@ def test_no_unused_imports():
     assert files
     unused = [entry for path in files for entry in unused_imports(path)]
     assert unused == []
+
+
+def private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """Single-underscore names defined at module level, and the private
+    methods of module-level classes."""
+    found = []
+    for node in tree.body:
+        targets = []
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        found += [(name, node.lineno) for name in targets]
+        if isinstance(node, ast.ClassDef):
+            found += [(item.name, item.lineno) for item in node.body
+                      if isinstance(item, ast.FunctionDef)]
+    return [(name, line) for name, line in found
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+def test_no_unreferenced_private_names():
+    files = sorted(p for folder in SCANNED for p in (ROOT / folder).rglob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in files}
+    referenced = set().union(*(referenced_names(tree) for tree in trees.values()))
+    package = ROOT / "src" / "spinray"
+    defined = [(path, name, line) for path, tree in trees.items() if path.is_relative_to(package)
+               for name, line in private_definitions(tree)]
+    assert defined
+    orphans = [f"{path.relative_to(ROOT)}:{line}: {name}" for path, name, line in defined
+               if name not in referenced]
+    assert orphans == []

@@ -79,7 +79,6 @@ def test_spinless_direction_worked_example():
     d = direction_spinless(PhotonState(x=[0, 0, 0], u=[1, 0, 0]), field)
     assert np.allclose(d.dx, [1.0, 0.0, 0.0])
     assert np.allclose(d.du, [0.0, 0.0, 1.0])
-    assert d.model == MODEL_SPINLESS
 
 
 def test_kernel_directions_unit_speed_and_forward(rng):
@@ -136,7 +135,6 @@ def test_spinless_limit_is_exact_at_zero_spin(rng):
             assert np.allclose(d_full.du, base.du, atol=1e-12)
             assert np.allclose(d_lin.dx, base.dx, atol=1e-12)
             assert np.allclose(d_lin.du, base.du, atol=1e-12)
-            assert d_full.model == MODEL_FULL
 
 
 def test_spin_to_zero_continuity():

@@ -247,3 +247,168 @@ def test_parse_sweep_validation():
     bad = dict(base, base={"p": 0.0})
     with pytest.raises(SceneError, match="base.p"):
         parse_sweep(json.dumps(bad))
+
+
+def every_kind_doc():
+    """A valid scene holding one record of every kind: three media (both
+    region kinds, the three analytic field kinds), an interface, a source
+    and the limits."""
+    return {
+        "spinray_scene": 1,
+        "media": [
+            {"region": {"type": "half_space", "normal": [0, 0, 1], "offset": 0.0},
+             "field": {"type": "constant", "n0": 1.0}},
+            {"region": {"type": "box", "min": [-5, -5, 0], "max": [5, 5, 1]},
+             "field": {"type": "linear_gradient", "n0": 1.5, "gradient": [0, 0, 0.01]}},
+            {"region": {"type": "half_space", "normal": [0, 0, -1], "offset": -1.0},
+             "field": {"type": "gaussian_bump", "n0": 1.2, "amplitude": 0.1,
+                       "center": [0, 0, 5], "width": 1.0}},
+        ],
+        "interfaces": [{"normal": [0, 0, 1], "anchor": [0, 0, 0], "n1": 1.0, "n2": 1.5}],
+        "sources": [{"origin": [0, 0, -1], "direction": [0, 0.6, 0.8], "p": 1.0, "s": 1.0}],
+        "limits": {"max_path_length": 4.0, "max_interface_events": 3},
+    }
+
+
+# The scene schema: per record kind, its place in every_kind_doc and the
+# reader of each key.
+SCHEMA = {
+    "half_space": ("media[0].region", {"normal": "vector", "offset": "number"}),
+    "box": ("media[1].region", {"min": "vector", "max": "vector"}),
+    "constant": ("media[0].field", {"n0": "number"}),
+    "linear_gradient": ("media[1].field", {"n0": "number", "gradient": "vector"}),
+    "gaussian_bump": ("media[2].field", {"n0": "number", "amplitude": "number",
+                                         "center": "vector", "width": "number"}),
+    "interface": ("interfaces[0]", {"normal": "vector", "anchor": "vector",
+                                    "n1": "number", "n2": "number"}),
+    "source": ("sources[0]", {"origin": "vector", "direction": "vector",
+                              "p": "number", "s": "number"}),
+    "limits": ("limits", {"max_path_length": "number", "max_interface_events": "integer"}),
+}
+WRONG_TYPED = {"vector": [1.0, 2.0], "number": "x", "integer": 2.5}
+SCHEMA_KEYS = [(kind, key) for kind, (_, keys) in SCHEMA.items() for key in keys]
+
+
+def record_at(doc: dict, path: str) -> dict:
+    """The object at a JSON path such as media[1].region."""
+    obj = doc
+    for part in path.split("."):
+        name, _, index = part.partition("[")
+        obj = obj[name] if not index else obj[name][int(index[:-1])]
+    return obj
+
+
+def scene_error(doc: dict) -> str:
+    with pytest.raises(SceneError) as info:
+        parse_scene(json.dumps(doc))
+    return str(info.value)
+
+
+def test_every_kind_doc_parses():
+    scene = parse_scene(json.dumps(every_kind_doc()))
+    assert len(scene.media) == 3 and len(scene.interfaces) == 1
+
+
+@pytest.mark.parametrize("kind,key", SCHEMA_KEYS)
+def test_schema_key_missing(kind, key):
+    path, _ = SCHEMA[kind]
+    doc = every_kind_doc()
+    del record_at(doc, path)[key]
+    assert scene_error(doc) == f"{path}: missing required key {key!r}"
+
+
+@pytest.mark.parametrize("kind,key", SCHEMA_KEYS)
+def test_schema_key_is_unknown_in_every_other_record(kind, key):
+    for path, _ in SCHEMA.values():
+        doc = every_kind_doc()
+        record = record_at(doc, path)
+        if key in record:
+            continue
+        record[key] = [0, 0, 1]
+        assert scene_error(doc) == f"{path}: unknown key {key!r}"
+
+
+@pytest.mark.parametrize("kind,key", SCHEMA_KEYS)
+def test_schema_key_wrong_type(kind, key):
+    path, keys = SCHEMA[kind]
+    doc = every_kind_doc()
+    record_at(doc, path)[key] = WRONG_TYPED[keys[key]]
+    assert scene_error(doc).startswith(f"{path}.{key}: expected ")
+
+
+@pytest.mark.parametrize("kind", SCHEMA)
+def test_keys_are_checked_in_schema_order(kind):
+    # with the keys from the i-th on all missing (or all wrong-typed), the
+    # error names the i-th key
+    path, keys = SCHEMA[kind]
+    names = list(keys)
+    for i, first in enumerate(names):
+        doc = every_kind_doc()
+        record = record_at(doc, path)
+        for key in names[i:]:
+            del record[key]
+        assert scene_error(doc) == f"{path}: missing required key {first!r}"
+        doc = every_kind_doc()
+        record_at(doc, path).update({key: WRONG_TYPED[keys[key]] for key in names[i:]})
+        assert scene_error(doc).startswith(f"{path}.{first}: expected ")
+
+
+def test_constructor_errors_carry_the_record_path():
+    doc = every_kind_doc()
+    doc["media"][1]["region"]["max"] = [5, 5, -1]
+    assert scene_error(doc) == "media[1].region: box max must exceed min on every axis"
+    doc = every_kind_doc()
+    doc["media"][2]["field"]["width"] = 0.0
+    assert scene_error(doc) == "media[2].field: width must be positive, got 0.0"
+    doc = every_kind_doc()
+    doc["interfaces"][0]["n2"] = 0.0
+    assert scene_error(doc).startswith("interfaces[0]: interface n2 must be finite")
+
+
+def test_every_analytic_kind_round_trips():
+    doc = every_kind_doc()
+    kinds = {record_at(doc, path).get("type") for path, _ in SCHEMA.values()}
+    assert kinds >= {"half_space", "box", "constant", "linear_gradient", "gaussian_bump"}
+    assert json.loads(emit_scene(parse_scene(json.dumps(doc)))) == doc
+
+
+def test_region_error_precedence():
+    doc = every_kind_doc()
+    doc["media"][0]["region"].update(type="sphere", foo=1)
+    assert scene_error(doc) == "media[0].region: unknown key 'foo'"
+    doc = every_kind_doc()
+    doc["media"][0]["region"]["type"] = "sphere"
+    assert scene_error(doc) == "media[0].region.type: unknown region type 'sphere'"
+    doc = every_kind_doc()
+    doc["media"][0]["region"] = [0, 0, 1]
+    assert scene_error(doc) == "media[0].region: expected an object, got list"
+    doc = every_kind_doc()
+    del doc["media"][0]["region"]["type"]
+    assert scene_error(doc) == "media[0].region: missing required key 'type'"
+    doc = every_kind_doc()
+    doc["media"][0]["region"]["min"] = [0, 0, 0]  # a box key in a half space
+    assert scene_error(doc) == "media[0].region: unknown key 'min'"
+
+
+def test_field_error_precedence():
+    doc = every_kind_doc()
+    doc["media"][0]["field"].update(type="quadratic", foo=1)
+    assert scene_error(doc) == "media[0].field.type: unknown field type 'quadratic'"
+    doc = every_kind_doc()
+    doc["media"][0]["field"]["type"] = ["constant"]
+    assert scene_error(doc) == "media[0].field.type: unknown field type ['constant']"
+    doc = every_kind_doc()
+    del doc["media"][0]["field"]["type"]
+    assert scene_error(doc) == "media[0].field: expected an object with a 'type' key"
+
+
+def test_records_are_read_in_document_order():
+    doc = every_kind_doc()
+    doc["interfaces"][0]["foo"] = 1
+    doc["sources"][0]["foo"] = 1
+    doc["limits"]["foo"] = 1
+    assert scene_error(doc) == "interfaces[0]: unknown key 'foo'"
+    del doc["interfaces"][0]["foo"]
+    assert scene_error(doc) == "sources[0]: unknown key 'foo'"
+    del doc["sources"][0]["foo"]
+    assert scene_error(doc) == "limits: unknown key 'foo'"
