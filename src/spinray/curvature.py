@@ -33,7 +33,9 @@ class CurvatureData:
 
     gamma[k, i, j] holds Gamma^k_ij; ricci is the covariant R_ij, scalar
     the curvature scalar and n the index there.  Built from one field jet
-    by from_jet, it serves every curvature quantity the kernels need.
+    by from_jet, it serves the curvature report and the curvature checks;
+    the general_metric kernel applies the same closed forms to vectors on
+    floats without building these arrays.
     """
 
     gamma: np.ndarray

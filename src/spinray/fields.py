@@ -1,12 +1,19 @@
 """Refractive index fields and the velocity data derived from them.
 
-A field supplies n(x) together with its first two derivatives.  jet(x)
-returns all three at one point, (n, grad n, hess n), and is what the
-transport kernels and the curvature code consume: every built-in field
-computes its jet in one pass (one envelope for the Gaussian bump, one cell
-lookup for the grid), and its gradient and hessian are read off that jet.
-A custom field may implement only value, gradient and hessian; the base
-jet then falls back to calling the three.
+A field supplies n(x) together with its first two derivatives, in two
+forms.  component_jet(x0, x1, x2) works on Python floats and is what the
+transport kernels consume: it returns n, the three components of grad n
+and the six distinct entries of the symmetric hess n as ten floats, so no
+array is built on the transport path.  jet(x) returns the arrays
+(n, grad n, hess n) and serves the curvature code, velocity_data and the
+certification path.  The analytic fields implement component_jet and read
+jet, value, gradient and hessian off it; their float arithmetic follows
+the array formulas operation by operation (numpy's exp, dot products
+rounded as numpy's BLAS rounds them), so both forms agree bit for bit.
+The grid computes its jet in one cell lookup.  A custom field may
+implement only value, gradient and hessian: the base jet calls the three,
+and the base component_jet reads its floats off jet(); overriding
+component_jet is what makes a custom field fast.
 
 The analytic variants (constant, linear gradient, Gaussian bump) return
 exact derivatives.  The grid variant interpolates tabulated samples
@@ -17,19 +24,21 @@ derivatives).
 
 The velocity data of a field packages v = 1/n, the velocity gradient
 g = grad v = -grad n / n^2, and its (symmetric) derivative matrix
-dg = -hess n / n^2 + 2 (grad n)(grad n)^T / n^3.  These are the quantities
-the transport kernels consume.
+dg = -hess n / n^2 + 2 (grad n)(grad n)^T / n^3, as arrays.  The
+certification path (kernel_residual, momentum_hat) consumes them; the
+spinless and full kernels form the same quantities on floats.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import OutOfDomainError
-from .vectors import vec3
+from .vectors import _fma_dot, vec3
 
 # Below this magnitude the medium is treated as undefined.
 MIN_INDEX = 1e-9
@@ -52,17 +61,38 @@ class IndexField:
         x = vec3(x)
         return self.value(x), self.gradient(x), self.hessian(x)
 
+    def component_jet(self, x0: float, x1: float, x2: float) -> tuple:
+        """(n, dn0, dn1, dn2, h00, h01, h02, h11, h12, h22) at (x0, x1, x2).
+
+        Ten floats: n, grad n and the upper triangle of the symmetric
+        hess n.  By default read off jet(); the analytic fields compute
+        them directly.
+        """
+        n, grad, hess = self.jet(np.array([x0, x1, x2]))
+        (h00, h01, h02), (_, h11, h12), (_, _, h22) = np.asarray(hess, dtype=float).tolist()
+        return (float(n), *np.asarray(grad, dtype=float).tolist(), h00, h01, h02, h11, h12, h22)
+
     def _checked(self, n: float, x) -> float:
-        if not np.isfinite(n) or n < MIN_INDEX:
+        if not MIN_INDEX <= n < math.inf:
             raise OutOfDomainError(
-                f"refractive index {n:.3e} at {np.asarray(x).tolist()} is below {MIN_INDEX:g}; "
+                f"refractive index {n:.3e} at {[float(c) for c in x]} is below {MIN_INDEX:g}; "
                 "propagation fields must stay positive"
             )
         return float(n)
 
 
+class _AnalyticIndex(IndexField):
+    """A field whose component_jet is its one formula source: jet() reads
+    the arrays off it."""
+
+    def jet(self, x) -> tuple[float, np.ndarray, np.ndarray]:
+        n, d0, d1, d2, h00, h01, h02, h11, h12, h22 = self.component_jet(*vec3(x).tolist())
+        hess = np.array([[h00, h01, h02], [h01, h11, h12], [h02, h12, h22]])
+        return n, np.array([d0, d1, d2]), hess
+
+
 @dataclass(frozen=True)
-class ConstantIndex(IndexField):
+class ConstantIndex(_AnalyticIndex):
     """Homogeneous medium n(x) = n0."""
 
     n0: float
@@ -71,12 +101,11 @@ class ConstantIndex(IndexField):
         if not np.isfinite(self.n0) or self.n0 < MIN_INDEX:
             raise ValueError(f"constant index must be at least {MIN_INDEX:g}, got {self.n0}")
 
-    def jet(self, x) -> tuple[float, np.ndarray, np.ndarray]:
-        vec3(x)
-        return float(self.n0), np.zeros(3), np.zeros((3, 3))
+    def component_jet(self, x0: float, x1: float, x2: float) -> tuple:
+        return float(self.n0), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
 
     def value(self, x) -> float:
-        return self.jet(x)[0]
+        return self.component_jet(*vec3(x).tolist())[0]
 
     def gradient(self, x) -> np.ndarray:
         return self.jet(x)[1]
@@ -86,7 +115,7 @@ class ConstantIndex(IndexField):
 
 
 @dataclass(frozen=True)
-class LinearGradientIndex(IndexField):
+class LinearGradientIndex(_AnalyticIndex):
     """Affine index n(x) = n0 + <k, x> with constant gradient k."""
 
     n0: float
@@ -97,12 +126,13 @@ class LinearGradientIndex(IndexField):
         if not np.isfinite(self.n0):
             raise ValueError("n0 must be finite")
 
-    def jet(self, x) -> tuple[float, np.ndarray, np.ndarray]:
-        n = self._checked(self.n0 + float(self.k @ vec3(x)), x)
-        return n, self.k.copy(), np.zeros((3, 3))
+    def component_jet(self, x0: float, x1: float, x2: float) -> tuple:
+        k0, k1, k2 = self.k.tolist()
+        n = self._checked(self.n0 + _fma_dot(k0, k1, k2, x0, x1, x2), (x0, x1, x2))
+        return n, k0, k1, k2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
 
     def value(self, x) -> float:
-        return self.jet(x)[0]
+        return self.component_jet(*vec3(x).tolist())[0]
 
     def gradient(self, x) -> np.ndarray:
         return self.jet(x)[1]
@@ -112,7 +142,7 @@ class LinearGradientIndex(IndexField):
 
 
 @dataclass(frozen=True)
-class GaussianBumpIndex(IndexField):
+class GaussianBumpIndex(_AnalyticIndex):
     """Radial bump n(x) = n0 + A exp(-|x - c|^2 / (2 w^2))."""
 
     n0: float
@@ -126,20 +156,24 @@ class GaussianBumpIndex(IndexField):
             raise ValueError(f"width must be positive, got {self.width}")
         if not (np.isfinite(self.n0) and np.isfinite(self.amplitude)):
             raise ValueError("n0 and amplitude must be finite")
+        w2 = self.width**2
+        object.__setattr__(self, "_floats", (*self.center.tolist(), float(self.n0),
+                                             float(self.amplitude), float(w2), float(w2**2)))
 
-    def _envelope(self, x) -> tuple[np.ndarray, float]:
-        r = vec3(x) - self.center
-        return r, self.amplitude * float(np.exp(-(r @ r) / (2.0 * self.width**2)))
+    def component_jet(self, x0: float, x1: float, x2: float) -> tuple:
+        c0, c1, c2, n0, amplitude, w2, w4 = self._floats
+        r0, r1, r2 = x0 - c0, x1 - c1, x2 - c2
+        # numpy's exp, which rounds differently from math.exp in the last bit
+        e = amplitude * float(np.exp(-_fma_dot(r0, r1, r2, r0, r1, r2) / (2.0 * w2)))
+        n = self._checked(n0 + e, (x0, x1, x2))
+        # grad n = -e r / w^2, hess n = e (r r^T / w^4 - I / w^2)
+        diag = 1.0 / w2
+        return (n, -e * r0 / w2, -e * r1 / w2, -e * r2 / w2,
+                e * (r0 * r0 / w4 - diag), e * (r0 * r1 / w4), e * (r0 * r2 / w4),
+                e * (r1 * r1 / w4 - diag), e * (r1 * r2 / w4), e * (r2 * r2 / w4 - diag))
 
     def value(self, x) -> float:
-        _, e = self._envelope(x)
-        return self._checked(self.n0 + e, x)
-
-    def jet(self, x) -> tuple[float, np.ndarray, np.ndarray]:
-        r, e = self._envelope(x)
-        n = self._checked(self.n0 + e, x)
-        w2 = self.width**2
-        return n, -e * r / w2, e * (np.outer(r, r) / w2**2 - np.eye(3) / w2)
+        return self.component_jet(*vec3(x).tolist())[0]
 
     def gradient(self, x) -> np.ndarray:
         return self.jet(x)[1]

@@ -21,8 +21,21 @@ state, normalized to unit Euclidean speed |dx| = 1 with <dx, u> > 0:
   metric, driven by the curvature operator R(Omega); equal to full_spin
   after converting back to Euclidean variables.
 
+Each model is one private component kernel on Python floats: it takes the
+field's component_jet, p, s, a position and a unit direction as separate
+floats, evaluates the jet once and returns (dx, du) as six floats.  No
+array is built.  The spinless and full kernels follow the array formulas
+of the velocity data operation by operation, with dot products rounded as
+numpy rounds them, so their directions and trajectories are unchanged bit
+for bit; the linearized kernel inverts 1 + j(z) in closed form, and the
+general kernel applies Ric, R(Omega) and the Christoffel symbols of the
+conformal metric to vectors in closed form, without the (3, 3, 3) gamma.
+integrate runs RK4 on 6-float tuples with these kernels; the public
+direction_* functions are thin adapters from arrays to the same kernels.
+
 kernel_residual certifies a direction by evaluating the 2-form against a
-basis of test variations; integrate advances states with classical RK4.
+basis of test variations.  It keeps its own matrix code (velocity_data),
+so the certification shares no formula with the kernels it checks.
 """
 
 from __future__ import annotations
@@ -32,7 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureData
 from .errors import (
     DegenerateKernelError,
     OutOfDomainError,
@@ -40,7 +52,7 @@ from .errors import (
 )
 from .fields import IndexField, velocity_data
 from .orbits import OrbitInvariants
-from .vectors import cross, cross_matrix, orthonormal_complement, unit, vec3
+from .vectors import _cross, _fma_dot, cross, orthonormal_complement, unit, vec3
 
 MODEL_SPINLESS = "spinless_fermat"
 MODEL_FULL = "full_spin"
@@ -72,14 +84,6 @@ class PhotonState:
     def __post_init__(self):
         object.__setattr__(self, "x", vec3(self.x))
         object.__setattr__(self, "u", unit(self.u))
-
-    @classmethod
-    def _trusted(cls, x: np.ndarray, u: np.ndarray) -> "PhotonState":
-        """State from arrays the caller has already validated."""
-        state = object.__new__(cls)
-        object.__setattr__(state, "x", x)
-        object.__setattr__(state, "u", u)
-        return state
 
 
 @dataclass(frozen=True)
@@ -147,17 +151,169 @@ def momentum_hat(state: PhotonState, inv: OrbitInvariants, field: IndexField) ->
     return vd.n * (inv.p * state.u + inv.s * cross(vd.g, state.u))
 
 
-def _oriented_unit(raw: np.ndarray, u: np.ndarray, what: str) -> tuple[np.ndarray, float]:
-    norm = float(np.linalg.norm(raw))
+def _oriented_unit(r0: float, r1: float, r2: float, u0: float, u1: float, u2: float,
+                   what: str) -> tuple[float, float, float, float]:
+    """The unit vector along +-r with <., u> >= 0, and the factor (+-1/|r|) taking r there."""
+    norm = math.sqrt(_fma_dot(r0, r1, r2, r0, r1, r2))
     if norm < _KERNEL_EPS:
         raise DegenerateKernelError(
             f"{what}: kernel direction collapsed (|dx| = {norm:.3e}); the medium is too "
             "strongly inhomogeneous for this color and spin"
         )
     scale = 1.0 / norm
-    if float(raw @ u) < 0.0:
+    if r0 * u0 + r1 * u1 + r2 * u2 < 0.0:
         scale = -scale
-    return raw * scale, scale
+    return r0 * scale, r1 * scale, r2 * scale, scale
+
+
+def _tangent(w0: float, w1: float, w2: float, u0: float, u1: float, u2: float):
+    """w with its component along the unit vector u removed."""
+    wu = _fma_dot(u0, u1, u2, w0, w1, w2)
+    return w0 - u0 * wu, w1 - u1 * wu, w2 - u2 * wu
+
+
+def _hess_times(h00, h01, h02, h11, h12, h22, a0, a1, a2):
+    """hess n . a from the upper triangle of the symmetric hess n."""
+    return (h00 * a0 + h01 * a1 + h02 * a2, h01 * a0 + h11 * a1 + h12 * a2,
+            h02 * a0 + h12 * a1 + h22 * a2)
+
+
+# The four component kernels.  Each takes a field's component_jet, the
+# color p and spin s, a position and a unit direction as floats, evaluates
+# the jet once and returns the unit-speed direction (dx, du) as six floats.
+# spinless and full transcribe the array formulas of the velocity data
+# (g = -grad n / n^2, dg = -hess n / n^2 + 2 grad n grad n^T / n^3)
+# operation by operation, dot and matrix-vector products rounded as numpy
+# rounds them, so their directions are those of the array code bit for bit;
+# linearized and general use closed forms that move results by rounding.
+
+def _spinless_kernel(jet, p, s, x0, x1, x2, u0, u1, u2):
+    n, d0, d1, d2 = jet(x0, x1, x2)[:4]
+    w0, w1, w2 = _tangent(d0, d1, d2, u0, u1, u2)
+    return u0, u1, u2, w0 / n, w1 / n, w2 / n
+
+
+def _full_kernel(jet, p, s, x0, x1, x2, u0, u1, u2):
+    if s == 0.0:
+        return _spinless_kernel(jet, p, s, x0, x1, x2, u0, u1, u2)
+    n, d0, d1, d2, h00, h01, h02, h11, h12, h22 = jet(x0, x1, x2)
+    n2, n3 = n**2, n**3
+    g0, g1, g2 = -d0 / n2, -d1 / n2, -d2 / n2
+    k00 = -h00 / n2 + 2.0 * (d0 * d0) / n3
+    k01 = -h01 / n2 + 2.0 * (d0 * d1) / n3
+    k02 = -h02 / n2 + 2.0 * (d0 * d2) / n3
+    k11 = -h11 / n2 + 2.0 * (d1 * d1) / n3
+    k12 = -h12 / n2 + 2.0 * (d1 * d2) / n3
+    k22 = -h22 / n2 + 2.0 * (d2 * d2) / n3
+    s_over_p2 = s**2 / p**2
+    c = 1.0 / n * s_over_p2  # v s^2/p^2
+    # a = 1 + (s^2/p^2)|g|^2 - v (s^2/p^2) div g, raw = a u + v (s^2/p^2) dg u
+    a = 1.0 + s_over_p2 * _fma_dot(g0, g1, g2, g0, g1, g2) - c * (k00 + k11 + k22)
+    dx0, dx1, dx2, _ = _oriented_unit(
+        a * u0 + c * _fma_dot(k01, k00, k02, u1, u0, u2),
+        a * u1 + c * _fma_dot(k11, k01, k12, u1, u0, u2),
+        a * u2 + c * _fma_dot(k12, k02, k22, u1, u0, u2),
+        u0, u1, u2, MODEL_FULL,
+    )
+    # du = (n/s) u x (p dx - s g x dx)
+    q0, q1, q2 = _cross(g0, g1, g2, dx0, dx1, dx2)
+    w0, w1, w2 = _cross(u0, u1, u2, p * dx0 - s * q0, p * dx1 - s * q1, p * dx2 - s * q2)
+    k = n / s
+    return (dx0, dx1, dx2) + _tangent(k * w0, k * w1, k * w2, u0, u1, u2)
+
+
+def _linearized_kernel(jet, p, s, x0, x1, x2, u0, u1, u2):
+    n, d0, d1, d2, h00, h01, h02, h11, h12, h22 = jet(x0, x1, x2)
+    n2 = n * n
+    n3 = n2 * n
+    g0, g1, g2 = -d0 / n2, -d1 / n2, -d2 / n2
+    # phat = n (p u + s g x u), dx ~ phat - (s/p) g x phat
+    q0, q1, q2 = _cross(g0, g1, g2, u0, u1, u2)
+    ph0, ph1, ph2 = n * (p * u0 + s * q0), n * (p * u1 + s * q1), n * (p * u2 + s * q2)
+    q0, q1, q2 = _cross(g0, g1, g2, ph0, ph1, ph2)
+    sp = s / p
+    dx0, dx1, dx2, _ = _oriented_unit(
+        ph0 - sp * q0, ph1 - sp * q1, ph2 - sp * q2, u0, u1, u2, MODEL_LINEARIZED
+    )
+    # rhs = dphat - <grad n, dx> phat / n - n s (dg dx) x u, dphat = -n <phat, dx> g,
+    # dg dx = -hess dx / n^2 + 2 grad n <grad n, dx> / n^3
+    m = -n * (ph0 * dx0 + ph1 * dx1 + ph2 * dx2)
+    dn_dx = d0 * dx0 + d1 * dx1 + d2 * dx2
+    h0, h1, h2 = _hess_times(h00, h01, h02, h11, h12, h22, dx0, dx1, dx2)
+    dd = 2.0 * dn_dx / n3
+    q0, q1, q2 = _cross(-h0 / n2 + d0 * dd, -h1 / n2 + d1 * dd, -h2 / n2 + d2 * dd,
+                        u0, u1, u2)
+    ns = n * s
+    r0 = m * g0 - dn_dx * ph0 / n - ns * q0
+    r1 = m * g1 - dn_dx * ph1 / n - ns * q1
+    r2 = m * g2 - dn_dx * ph2 / n - ns * q2
+    # n p (1 + j(z)) du = rhs with z = (s/p) g, solved through
+    # (1 + j(z))^-1 r = (r - z x r + z <z, r>) / (1 + |z|^2)
+    z0, z1, z2 = sp * g0, sp * g1, sp * g2
+    q0, q1, q2 = _cross(z0, z1, z2, r0, r1, r2)
+    zr = z0 * r0 + z1 * r1 + z2 * r2
+    k = 1.0 / ((1.0 + (z0 * z0 + z1 * z1 + z2 * z2)) * n * p)
+    return (dx0, dx1, dx2) + _tangent(
+        (r0 - q0 + z0 * zr) * k, (r1 - q1 + z1 * zr) * k, (r2 - q2 + z2 * zr) * k,
+        u0, u1, u2,
+    )
+
+
+def _general_kernel(jet, p, s, x0, x1, x2, u0, u1, u2):
+    n, d0, d1, d2, h00, h01, h02, h11, h12, h22 = jet(x0, x1, x2)
+    n2 = n * n
+    lap = h00 + h11 + h22
+
+    def ricci(a0, a1, a2):
+        # Ric a = 2 <dn, a> dn / n^2 - hess a / n - lap a / n
+        h0, h1, h2 = _hess_times(h00, h01, h02, h11, h12, h22, a0, a1, a2)
+        da = 2.0 * (d0 * a0 + d1 * a1 + d2 * a2) / n2
+        return (da * d0 - (h0 + lap * a0) / n, da * d1 - (h1 + lap * a1) / n,
+                da * d2 - (h2 + lap * a2) / n)
+
+    scalar = 2.0 * (d0 * d0 + d1 * d1 + d2 * d2) / (n2 * n2) - 4.0 * lap / (n2 * n)
+    U0, U1, U2 = u0 / n, u1 / n, u2 / n
+    c0, c1, c2 = ricci(U0, U1, U2)
+    ein = U0 * c0 + U1 * c1 + U2 * c2 - 0.5 * scalar
+    denom = p * p + s * s * ein
+    if abs(denom) < 1e-9 * p * p:
+        raise SpinCurvatureSingularityError(
+            f"curvature coupling denominator p^2 + s^2 Ein(U,U) = {denom:.3e} is singular"
+        )
+    # R(Omega) a = -2 (Ric (n U x a) + n U x Ric a) / n^2 + R n U x a, and
+    # R(Omega) U = -2 n U x Ric U / n^2;  dX = U + s^2 n U x R(Omega) U / (2 denom)
+    q0, q1, q2 = _cross(U0, U1, U2, c0, c1, c2)
+    k = -2.0 * n / n2
+    q0, q1, q2 = _cross(U0, U1, U2, k * q0, k * q1, k * q2)
+    k = s * s * n / (2.0 * denom)
+    dX0, dX1, dX2 = U0 + k * q0, U1 + k * q1, U2 + k * q2
+    w0, w1, w2 = _cross(U0, U1, U2, dX0, dX1, dX2)
+    w0, w1, w2 = n * w0, n * w1, n * w2
+    a0, a1, a2 = ricci(w0, w1, w2)
+    b0, b1, b2 = ricci(dX0, dX1, dX2)
+    b0, b1, b2 = _cross(U0, U1, U2, b0, b1, b2)
+    # covariant change D U = -(s / 2p) R(Omega) dX
+    k = -(s / (2.0 * p))
+    m = -2.0 / n2
+    e0 = k * (m * (a0 + n * b0) + scalar * w0)
+    e1 = k * (m * (a1 + n * b1) + scalar * w1)
+    e2 = k * (m * (a2 + n * b2) + scalar * w2)
+    # Euclidean conversion: du = <dn, dX> U + n (D U - Gamma(dX, U)), with
+    # Gamma(a, b) = (<dn, a> b + <dn, b> a - dn <a, b>) / n; the <dn, dX> U
+    # terms cancel
+    dn_U = d0 * U0 + d1 * U1 + d2 * U2
+    dX_U = dX0 * U0 + dX1 * U1 + dX2 * U2
+    f0 = n * e0 - dn_U * dX0 + d0 * dX_U
+    f1 = n * e1 - dn_U * dX1 + d1 * dX_U
+    f2 = n * e2 - dn_U * dX2 + d2 * dX_U
+    dx0, dx1, dx2, scale = _oriented_unit(dX0, dX1, dX2, u0, u1, u2, MODEL_GENERAL)
+    return (dx0, dx1, dx2) + _tangent(f0 * scale, f1 * scale, f2 * scale, u0, u1, u2)
+
+
+def _direction(kernel, field: IndexField, inv_p: float, inv_s: float, x, u) -> KernelDirection:
+    """Run a component kernel on array arguments."""
+    out = kernel(field.component_jet, inv_p, inv_s, *x.tolist(), *u.tolist())
+    return KernelDirection(dx=np.array(out[:3]), du=np.array(out[3:]))
 
 
 def direction_spinless(state: PhotonState, field: IndexField) -> KernelDirection:
@@ -166,10 +322,7 @@ def direction_spinless(state: PhotonState, field: IndexField) -> KernelDirection
     Independent of color and spin; the unit-speed form of the eikonal
     equation d(n u)/dt = grad n.
     """
-    vd = velocity_data(field, state.x)
-    u = state.u
-    du = (vd.grad_n - u * float(u @ vd.grad_n)) / vd.n
-    return KernelDirection(dx=u.copy(), du=du)
+    return _direction(_spinless_kernel, field, 1.0, 0.0, state.x, state.u)
 
 
 def direction_full_spin(
@@ -177,23 +330,13 @@ def direction_full_spin(
 ) -> KernelDirection:
     """Exact kernel direction of the spinning transport form.
 
-    For s = 0 this delegates to the spinless formula.  Raises
+    For s = 0 this is the spinless formula.  Raises
     DegenerateKernelError when the computed dx norm falls below 1e-12,
     which happens when a = 1 + (s^2/p^2)|g|^2 - (v s^2/p^2) div g
     conspires with the Hessian term (inhomogeneity scale comparable to
     1/p).
     """
-    if inv.s == 0.0:
-        return direction_spinless(state, field)
-    vd = velocity_data(field, state.x)
-    u = state.u
-    s_over_p2 = inv.s**2 / inv.p**2
-    a = 1.0 + s_over_p2 * float(vd.g @ vd.g) - vd.v * s_over_p2 * vd.div_g
-    raw = a * u + vd.v * s_over_p2 * (vd.dg @ u)
-    dx, _ = _oriented_unit(raw, u, MODEL_FULL)
-    du = (vd.n / inv.s) * cross(u, inv.p * dx - inv.s * cross(vd.g, dx))
-    du = du - u * float(u @ du)
-    return KernelDirection(dx=dx, du=du)
+    return _direction(_full_kernel, field, inv.p, inv.s, state.x, state.u)
 
 
 def direction_linearized(
@@ -207,19 +350,7 @@ def direction_linearized(
     n p (1 + j(sg/p)) du = dphat - <grad n, dx> phat / n - n s (dg dx) x u
     through the closed-form inverse of 1 + j(z).
     """
-    vd = velocity_data(field, state.x)
-    u, p, s = state.u, inv.p, inv.s
-    phat = vd.n * (p * u + s * cross(vd.g, u))
-    raw = phat - (s / p) * cross(vd.g, phat)
-    dx, scale = _oriented_unit(raw, u, MODEL_LINEARIZED)
-    dphat = -vd.n * float(phat @ dx) * vd.g
-    rhs = dphat - float(vd.grad_n @ dx) * phat / vd.n - vd.n * s * cross(vd.dg @ dx, u)
-    z = (s / p) * vd.g
-    zz = float(z @ z)
-    inv_op = (np.eye(3) - cross_matrix(z) + np.outer(z, z)) / (1.0 + zz)
-    du = inv_op @ rhs / (vd.n * p)
-    du = du - u * float(u @ du)
-    return KernelDirection(dx=dx, du=du)
+    return _direction(_linearized_kernel, field, inv.p, inv.s, state.x, state.u)
 
 
 def direction_general_metric(
@@ -230,29 +361,15 @@ def direction_general_metric(
     The step is dX ~ U + s^2 Omega R(Omega) U / (2 (p^2 + s^2 Ein(U, U)))
     with the covariant direction change D U = -(s / 2p) R(Omega) dX; both
     are converted to Euclidean (dx, du) via u = n U and the Christoffel
-    correction.  Raises SpinCurvatureSingularityError when the coupling
-    denominator |p^2 + s^2 Ein(U, U)| drops below 1e-9 p^2.
+    correction.  U must be g-unit, n^2 <U, U> = 1 within 1e-9.  Raises
+    SpinCurvatureSingularityError when the coupling denominator
+    |p^2 + s^2 Ein(U, U)| drops below 1e-9 p^2.
     """
+    n = field.value(mstate.X)
     U = mstate.U
-    n, grad_n, hess_n = field.jet(mstate.X)
-    curv = CurvatureData.from_jet(n, grad_n, hess_n)
-    rom = curv.r_omega(U)
-    ein = curv.einstein_uu(U)
-    denom = inv.p**2 + inv.s**2 * ein
-    if abs(denom) < 1e-9 * inv.p**2:
-        raise SpinCurvatureSingularityError(
-            f"curvature coupling denominator p^2 + s^2 Ein(U,U) = {denom:.3e} is singular"
-        )
-    dX = U + inv.s**2 * (n * cross(U, rom @ U)) / (2.0 * denom)
-    dU_cov = -(inv.s / (2.0 * inv.p)) * (rom @ dX)
-    # Euclidean conversion of the pair (dX, DU): u = n U, du from the
-    # product rule with the connection term removed from DU.
-    du_raw = float(grad_n @ dX) * U + n * (dU_cov - curv.christoffel_apply(dX, U))
-    u = n * U
-    dx, scale = _oriented_unit(dX, u, MODEL_GENERAL)
-    du = du_raw * scale
-    du = du - u * float(u @ du)
-    return KernelDirection(dx=dx, du=du)
+    if abs(n**2 * float(U @ U) - 1.0) > 1e-9:
+        raise ValueError("U must be unit length in the optical metric")
+    return _direction(_general_kernel, field, inv.p, inv.s, mstate.X, n * U)
 
 
 def kernel_residual(
@@ -296,15 +413,13 @@ def kernel_residual(
     return worst
 
 
-def _direction_fn(model: str, inv: OrbitInvariants, field: IndexField):
-    model = canonical_model(model)
-    if model == MODEL_SPINLESS:
-        return lambda st: direction_spinless(st, field)
-    if model == MODEL_FULL:
-        return lambda st: direction_full_spin(st, inv, field)
-    if model == MODEL_LINEARIZED:
-        return lambda st: direction_linearized(st, inv, field)
-    return lambda st: direction_general_metric(MetricState.from_photon(st, field), inv, field)
+def _component_kernel(model: str):
+    return {
+        MODEL_SPINLESS: _spinless_kernel,
+        MODEL_FULL: _full_kernel,
+        MODEL_LINEARIZED: _linearized_kernel,
+        MODEL_GENERAL: _general_kernel,
+    }[model]
 
 
 # The crossing search ends when the bracket on the step fraction is this
@@ -313,16 +428,20 @@ _CROSSING_BRACKET = 1e-10
 _CROSSING_RESIDUAL = 1e-12
 
 
-def _locate_crossing(advance, f, f_lo: float, f_hi: float, f_tol: float):
+def _locate_crossing(advance, f, y_lo, f_lo: float, f_hi: float, f_tol: float):
     """Step fraction, and the state there, at which f(advance(frac)) changes sign.
 
-    f_lo >= 0 and f_hi < 0 are f at fractions 0 and 1.  Illinois regula
-    falsi (Dowell & Jarratt, BIT 11, 168, 1971): each iterate is the
-    false-position point of the bracket [lo, hi]; when the same end moves
-    twice in a row, the value kept at the other end is halved.  A point not
-    strictly inside the bracket (as when f_lo == 0) becomes the midpoint.
+    y_lo is the state at fraction 0; f_lo >= 0 and f_hi < 0 are f at
+    fractions 0 and 1.  When f_lo == 0 the sample y_lo lies on the surface
+    and is the crossing itself: it is returned with fraction 0 at no cost.
+    Otherwise Illinois regula falsi (Dowell & Jarratt, BIT 11, 168, 1971):
+    each iterate is the false-position point of the bracket [lo, hi]; when
+    the same end moves twice in a row, the value kept at the other end is
+    halved.  A point not strictly inside the bracket becomes the midpoint.
     A zero of f counts as the far side.  Returns the newest iterate.
     """
+    if f_lo == 0.0:
+        return 0.0, y_lo
     lo, hi = 0.0, 1.0
     moved = 0  # +1 after lo moved, -1 after hi moved
     while True:
@@ -357,50 +476,64 @@ def integrate(
     """March a state along the kernel direction with classical RK4.
 
     The arc parameter is Euclidean path length (unit-speed gauge); u is
-    renormalized after every step.  `stop`, if given, maps a position to a
-    signed distance: integration ends when its sign differs from the sign
-    at the start.  The crossing inside that step is located by Illinois
-    regula falsi on the step fraction, each iterate a genuine RK4 step of
-    that fraction from the last sample; the search stops when the bracket
-    is 1e-10 of the step wide or when |stop| at the newest iterate is at
-    most 1e-12 of the step, and that iterate is the final sample.  Running
-    out of field domain ends the trajectory at the last good sample with
-    reason "boundary".  Kernel errors propagate with the offending arc
-    parameter attached.
+    renormalized at every RK4 stage and after every step.  The state is
+    carried as six Python floats (x, u) and each stage calls the model's
+    component kernel on the field's component_jet, so no array is built
+    until the Trajectory.  A non-finite state raises ValueError before a
+    kernel sees it.
+
+    `stop`, if given, maps a position, passed as a tuple of three floats,
+    to a signed distance: integration ends when its sign differs from the
+    sign at the start.  The crossing inside that step is located by
+    Illinois regula falsi on the step fraction, each iterate a genuine RK4
+    step of that fraction from the last sample; the search stops when the
+    bracket is 1e-10 of the step wide or when |stop| at the newest iterate
+    is at most 1e-12 of the step, and that iterate is the final sample.  A
+    sample with stop exactly 0 before the crossing is itself the final
+    sample.  Running out of field domain ends the trajectory at the last
+    good sample with reason "boundary".  Kernel errors propagate with the
+    offending arc parameter attached.
     """
     if step <= 0.0 or max_len <= 0.0:
         raise ValueError("step and max_len must be positive")
     model = canonical_model(model)
-    fn = _direction_fn(model, inv, field)
+    kernel = _component_kernel(model)
+    jet = field.component_jet
+    p, s = inv.p, inv.s
+    isfinite, sqrt = math.isfinite, math.sqrt
 
-    def derivative(y: np.ndarray) -> np.ndarray:
-        # PhotonState's checks and normalization, without its validation calls
-        if not np.isfinite(y).all():
+    def stage(y):
+        x0, x1, x2, u0, u1, u2 = y
+        if not all(map(isfinite, y)):
             raise ValueError("ray state has non-finite entries")
-        norm = float(np.linalg.norm(y[3:]))
+        norm = sqrt(_fma_dot(u0, u1, u2, u0, u1, u2))
         if norm < 1e-9:
             raise ValueError(f"cannot normalize a vector of norm {norm:.3e}")
-        d = fn(PhotonState._trusted(y[:3], y[3:] / norm))
-        return np.concatenate([d.dx, d.du])
+        return kernel(jet, p, s, x0, x1, x2, u0 / norm, u1 / norm, u2 / norm)
 
-    def rk4(y: np.ndarray, h: float) -> np.ndarray:
-        k1 = derivative(y)
-        k2 = derivative(y + 0.5 * h * k1)
-        k3 = derivative(y + 0.5 * h * k2)
-        k4 = derivative(y + h * k3)
-        out = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[3:] /= np.linalg.norm(out[3:])
-        if not np.isfinite(out).all():
+    def rk4(y, h):
+        half = 0.5 * h
+        k1 = stage(y)
+        k2 = stage([a + half * b for a, b in zip(y, k1)])
+        k3 = stage([a + half * b for a, b in zip(y, k2)])
+        k4 = stage([a + h * b for a, b in zip(y, k3)])
+        sixth = h / 6.0
+        x0, x1, x2, u0, u1, u2 = out = [
+            a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)
+        ]
+        norm = sqrt(_fma_dot(u0, u1, u2, u0, u1, u2))
+        if not (norm > 0.0 and all(map(isfinite, out))):
             raise ValueError("ray state has non-finite entries")
-        return out
+        return x0, x1, x2, u0 / norm, u1 / norm, u2 / norm
 
-    y = np.concatenate([start.x, start.u])
+    y = (*start.x.tolist(), *start.u.tolist())
     field.value(start.x)  # a start outside the field's domain raises
     ts = [0.0]
     samples = [y]
     stop_sign = 0.0
     if stop is not None:
-        stop_sign = math.copysign(1.0, stop(y[:3])) if stop(y[:3]) != 0.0 else 0.0
+        val = stop(y[:3])
+        stop_sign = math.copysign(1.0, val) if val != 0.0 else 0.0
     reason = "max-steps"
     t = 0.0
     while t < max_len - 1e-15:
@@ -420,17 +553,19 @@ def integrate(
             if stop_sign == 0.0:
                 stop_sign = sign
             elif sign != 0.0 and sign != stop_sign:
-                frac, y = _locate_crossing(
+                frac, y_cross = _locate_crossing(
                     lambda frac: rk4(y, h * frac),
                     lambda z: stop_sign * stop(z[:3]),
+                    y,
                     stop_sign * stop(y[:3]),
                     stop_sign * val,
                     _CROSSING_RESIDUAL * h,
                 )
-                field.value(y[:3])
-                t += h * frac
-                ts.append(t)
-                samples.append(y)
+                if frac > 0.0:
+                    field.value(y_cross[:3])
+                    t += h * frac
+                    ts.append(t)
+                    samples.append(y_cross)
                 reason = "interface"
                 break
         try:

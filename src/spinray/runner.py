@@ -30,7 +30,7 @@ from .scattering import (
     conservation_check,
     scatter,
 )
-from .scene import Scene, SweepSpec
+from .scene import Box, HalfSpace, Scene, SweepSpec
 from .vectors import cross, unit
 
 CSV_COLUMNS = (
@@ -71,6 +71,32 @@ def _angles(n: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> tuple[float, float
     return theta1, theta2
 
 
+def _stop_function(region: HalfSpace | Box, planes, signs):
+    """Signed distance, on three floats, to the nearest wall of a segment.
+
+    The walls are the region's faces and the interface planes, each plane's
+    distance signed positive on the side the segment starts from.  Every
+    wall is an affine form c - <a, x>, its coefficients taken as floats
+    once per segment.
+    """
+    if isinstance(region, HalfSpace):
+        walls = [(*region.normal.tolist(), float(region.offset))]
+    else:  # Box: x - lo and hi - x on each axis
+        walls = []
+        for e, lo, hi in zip(np.eye(3).tolist(), region.lo.tolist(), region.hi.tolist()):
+            walls += [(-e[0], -e[1], -e[2], -lo), (*e, hi)]
+    for sg, pl in zip(signs, planes):
+        a0, a1, a2 = (-sg * pl.normal).tolist()
+        b0, b1, b2 = pl.anchor.tolist()
+        walls.append((a0, a1, a2, a0 * b0 + a1 * b1 + a2 * b2))
+
+    def stop(pos) -> float:
+        x0, x1, x2 = pos
+        return min([c - (a0 * x0 + a1 * x1 + a2 * x2) for a0, a1, a2, c in walls])
+
+    return stop
+
+
 def run_trace(
     scene: Scene, source_index: int, model: str = "full", step: float = 0.01
 ) -> TraceResult:
@@ -100,18 +126,11 @@ def run_trace(
             break
         medium = scene.media[medium_idx]
         inv = OrbitInvariants(p=src.p, s=s_cur)
-        region = medium.region
         planes = scene.interfaces
         signs = [math.copysign(1.0, pl.signed_distance(x)) for pl in planes]
-
-        def stop_fn(pos, signs=signs, region=region, planes=planes) -> float:
-            vals = [region.inside_distance(pos)]
-            vals += [sg * pl.signed_distance(pos) for sg, pl in zip(signs, planes)]
-            return min(vals)
-
         traj = integrate(
             PhotonState(x=x, u=u), inv, medium.field, model=model,
-            step=step, max_len=remaining, stop=stop_fn,
+            step=step, max_len=remaining, stop=_stop_function(medium.region, planes, signs),
         )
         x_end, u_end = traj.x[-1], traj.u[-1]
         events.append(

@@ -180,6 +180,15 @@ def _integer(obj, path: str) -> int:
     return obj
 
 
+def _check_version(doc: dict, key: str, version: int) -> None:
+    """The document's version entry must be the JSON integer `version`."""
+    found = doc[key]
+    if isinstance(found, bool) or not isinstance(found, int) or found != version:
+        raise SceneError(
+            f"{key}: unsupported version {found!r} (this build reads version {version})"
+        )
+
+
 def _vector(obj, path: str) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != 3:
         raise SceneError(f"{path}: expected a 3-element array")
@@ -317,11 +326,7 @@ def parse_scene(text: str, base_dir: str | Path | None = None) -> Scene:
          "sources": True, "limits": True},
         "scene",
     )
-    if doc["spinray_scene"] != SCENE_VERSION:
-        raise SceneError(
-            f"spinray_scene: unsupported version {doc['spinray_scene']!r} "
-            f"(this build reads version {SCENE_VERSION})"
-        )
+    _check_version(doc, "spinray_scene", SCENE_VERSION)
     media = []
     if not isinstance(doc["media"], list) or not doc["media"]:
         raise SceneError("media: expected a non-empty array")
@@ -333,6 +338,8 @@ def parse_scene(text: str, base_dir: str | Path | None = None) -> Scene:
         region = _read_typed(_REGIONS, entry["region"], f"{path}.region", "region")
         fld, grid_path = _parse_field(entry["field"], f"{path}.field", base)
         media.append(Medium(region=region, field=fld, grid_path=grid_path))
+    if not isinstance(doc.get("interfaces", []), list):
+        raise SceneError("interfaces: expected an array")
     interfaces = [
         _read_record(_INTERFACE, entry, f"interfaces[{k}]")
         for k, entry in enumerate(doc.get("interfaces", []))
@@ -396,8 +403,7 @@ def parse_sweep(text: str) -> SweepSpec:
          "count": True, "base": False},
         "sweep",
     )
-    if doc["spinray_sweep"] != SWEEP_VERSION:
-        raise SceneError(f"spinray_sweep: unsupported version {doc['spinray_sweep']!r}")
+    _check_version(doc, "spinray_sweep", SWEEP_VERSION)
     parameter = doc["parameter"]
     if parameter not in SWEEP_PARAMETERS:
         raise SceneError(

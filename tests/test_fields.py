@@ -219,6 +219,10 @@ def test_jet_is_value_gradient_hessian_bit_for_bit(rng):
             assert type(n) is float and n == field.value(x)
             assert grad_n.tobytes() == field.gradient(x).tobytes()
             assert hess_n.tobytes() == field.hessian(x).tobytes()
+            # the float jet carries the same numbers: n, grad n, upper triangle
+            comp = field.component_jet(*x.tolist())
+            assert all(type(c) is float for c in comp)
+            assert comp == (n, *grad_n.tolist(), *hess_n[np.triu_indices(3)].tolist())
 
 
 def test_grid_hessian_is_the_per_entry_interpolation_and_exactly_symmetric(rng):

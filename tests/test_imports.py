@@ -95,3 +95,79 @@ def test_no_unreferenced_private_names():
     orphans = [f"{path.relative_to(ROOT)}:{line}: {name}" for path, name, line in defined
                if name not in referenced]
     assert orphans == []
+
+
+# The transport hot path, which runs on Python floats: a numpy call there
+# costs more than the arithmetic it does.  Per module, the functions (and
+# methods, as Class.method) whose bodies, nested functions included, must
+# not touch numpy or the array helpers of spinray.vectors.
+FLOAT_PATH = {
+    "src/spinray/vectors.py": ("_cross", "_fma_dot"),
+    "src/spinray/fields.py": (
+        "IndexField._checked", "ConstantIndex.component_jet",
+        "LinearGradientIndex.component_jet", "GaussianBumpIndex.component_jet",
+    ),
+    "src/spinray/propagation.py": (
+        "_oriented_unit", "_tangent", "_hess_times", "_spinless_kernel",
+        "_full_kernel", "_linearized_kernel", "_general_kernel", "_locate_crossing",
+        "integrate.stage", "integrate.rk4",
+    ),
+}
+# The one numpy call allowed there: numpy's exp and math.exp differ in the
+# last bit for about one argument in twenty, and the bump's float jet keeps
+# numpy's so that it equals the array jet bit for bit.
+FLOAT_PATH_EXEMPT = {"GaussianBumpIndex.component_jet": {"np.exp"}}
+
+
+def array_names(tree: ast.Module) -> set[str]:
+    """Names a module binds to numpy or to the array helpers of spinray.vectors."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names |= {alias.asname or alias.name for alias in node.names
+                      if alias.name.split(".")[0] == "numpy"}
+        elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", "vectors"):
+            names |= {alias.asname or alias.name for alias in node.names
+                      if node.module == "numpy" or not alias.name.startswith("_")}
+    return names
+
+
+def qualified_functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
+    """Module functions, class methods and the functions nested one level
+    in either, by dotted name."""
+    found = {}
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                name = prefix + node.name
+                if isinstance(node, ast.FunctionDef):
+                    found[name] = node
+                if prefix.count(".") < 1:
+                    visit(node.body, name + ".")
+
+    visit(tree.body, "")
+    return found
+
+
+def array_uses(path: Path, functions) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    banned = array_names(tree) | {"np", "numpy"}
+    defined = qualified_functions(tree)
+    uses = []
+    for qualname in functions:
+        assert qualname in defined, f"{path.name}: no function {qualname}"
+        nodes = list(ast.walk(defined[qualname]))
+        exempt = {id(node.value) for node in nodes
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and f"{node.value.id}.{node.attr}" in FLOAT_PATH_EXEMPT.get(qualname, ())}
+        uses += [f"{path.relative_to(ROOT)}:{node.lineno}: {qualname} uses {node.id}"
+                 for node in nodes
+                 if isinstance(node, ast.Name) and node.id in banned and id(node) not in exempt]
+    return uses
+
+
+def test_float_transport_path_makes_no_array_calls():
+    uses = [use for rel, functions in FLOAT_PATH.items()
+            for use in array_uses(ROOT / rel, functions)]
+    assert uses == []

@@ -316,6 +316,21 @@ def test_integrate_stop_predicate_bisects_onto_surface():
     assert np.allclose(traj.x[-1], [0.75, 0.0, 0.0], atol=1e-9)
 
 
+def test_stop_receives_the_position_as_three_floats():
+    seen = []
+
+    def stop(x):
+        seen.append(x)
+        return 0.5 - x[0]
+
+    traj = integrate(PhotonState(x=[0.0, 0.0, 0.0], u=[1.0, 0.0, 0.0]),
+                     OrbitInvariants(p=2.0, s=1.0), ConstantIndex(n0=1.3), model="full",
+                     step=0.1, max_len=2.0, stop=stop)
+    assert traj.reason == "interface"
+    assert seen and all(type(x) is tuple and len(x) == 3 for x in seen)
+    assert all(type(c) is float for x in seen for c in x)
+
+
 def test_integrate_boundary_stop_on_grid_edge():
     vals = np.full((8, 8, 8), 1.25)
     field = GridIndex(values=vals, origin=(0, 0, 0), spacing=(0.5, 0.5, 0.5))
@@ -380,18 +395,19 @@ class CountingField(IndexField):
         return self._count("hessian", x)
 
 
-DIRECTION_FNS = {
-    MODEL_SPINLESS: "direction_spinless",
-    MODEL_FULL: "direction_full_spin",
-    MODEL_LINEARIZED: "direction_linearized",
-    MODEL_GENERAL: "direction_general_metric",
+# The component kernel that integrate calls for each model.
+KERNEL_FNS = {
+    MODEL_SPINLESS: "_spinless_kernel",
+    MODEL_FULL: "_full_kernel",
+    MODEL_LINEARIZED: "_linearized_kernel",
+    MODEL_GENERAL: "_general_kernel",
 }
 
 
-@pytest.mark.parametrize("model", list(DIRECTION_FNS))
+@pytest.mark.parametrize("model", list(KERNEL_FNS))
 def test_each_kernel_evaluation_takes_one_field_jet(monkeypatch, model):
     field = CountingField(GaussianBumpIndex(n0=1.0, amplitude=0.45, center=(0, 0, 0), width=0.9))
-    name = DIRECTION_FNS[model]
+    name = KERNEL_FNS[model]
     kernel = getattr(propagation, name)
     per_eval = []
 
@@ -409,22 +425,19 @@ def test_each_kernel_evaluation_takes_one_field_jet(monkeypatch, model):
     evals = len(per_eval)
     assert evals > 4 * (len(traj) - 1)  # the crossing search evaluates the kernel too
     assert per_eval == [{"jet": 1, "value": 0, "gradient": 0, "hessian": 0}] * evals
-    # the rest is one domain check (value) per sample, and for the general
-    # model the value read by MetricState.from_photon at each evaluation
-    from_photon = evals if model == MODEL_GENERAL else 0
-    assert field.calls == {"jet": evals, "value": len(traj) + from_photon,
-                           "gradient": 0, "hessian": 0}
+    # the rest is one domain check (value) per sample, for every model
+    assert field.calls == {"jet": evals, "value": len(traj), "gradient": 0, "hessian": 0}
 
 
-@pytest.mark.parametrize("model", list(DIRECTION_FNS))
+@pytest.mark.parametrize("model", list(KERNEL_FNS))
 def test_integrate_rejects_a_field_with_a_nan_gradient(monkeypatch, model):
-    name = DIRECTION_FNS[model]
+    name = KERNEL_FNS[model]
     kernel = getattr(propagation, name)
     finite_states = []
 
-    def recording(state, *rest):
-        finite_states.append(all(np.isfinite(v).all() for v in vars(state).values()))
-        return kernel(state, *rest)
+    def recording(jet, p, s, *state):
+        finite_states.append(len(state) == 6 and all(math.isfinite(v) for v in state))
+        return kernel(jet, p, s, *state)
 
     monkeypatch.setattr(propagation, name, recording)
 
@@ -453,8 +466,8 @@ CROSSING_STEP = 0.05
 
 
 def count_kernel_evals(monkeypatch, model):
-    """Patch the model's direction function to count its calls in a list."""
-    name = DIRECTION_FNS[canonical_model(model)]
+    """Patch the model's component kernel to count its calls in a list."""
+    name = KERNEL_FNS[canonical_model(model)]
     kernel = getattr(propagation, name)
     calls = []
 
@@ -509,7 +522,7 @@ def plane_across_path(rng, inv, field, model, incidence=None):
     return start, lambda x: float(normal @ (x - anchor)), normal
 
 
-@pytest.mark.parametrize("model", list(DIRECTION_FNS))
+@pytest.mark.parametrize("model", list(KERNEL_FNS))
 def test_plane_crossing_in_constant_medium_costs_at_most_two_rk4_calls(monkeypatch, rng, model):
     field = ConstantIndex(n0=1.3)
     inv = OrbitInvariants(p=3.0, s=1.0)
@@ -526,7 +539,7 @@ def test_plane_crossing_in_constant_medium_costs_at_most_two_rk4_calls(monkeypat
         assert len(calls) <= 4 * full_steps + 8
 
 
-@pytest.mark.parametrize("model", list(DIRECTION_FNS))
+@pytest.mark.parametrize("model", list(KERNEL_FNS))
 def test_crossing_agrees_with_a_reference_bisection(rng, model):
     for field in (CROSSING_LENS, ConstantIndex(n0=1.3)):
         for _ in range(3):
@@ -540,7 +553,7 @@ def test_crossing_agrees_with_a_reference_bisection(rng, model):
             assert abs(stop(traj.x[-1])) <= 1e-11 * (1.0 + np.linalg.norm(traj.x[-1]))
 
 
-@pytest.mark.parametrize("model", list(DIRECTION_FNS))
+@pytest.mark.parametrize("model", list(KERNEL_FNS))
 def test_crossing_from_a_start_on_the_surface(model):
     # stop is zero at the start and positive until z = 0.3: its sign is
     # taken from the first step, and the crossing is the far root
@@ -559,11 +572,10 @@ def test_crossing_from_a_start_on_the_surface(model):
     assert abs(stop(traj.x[-1])) <= 1e-12 * CROSSING_STEP
 
 
-@pytest.mark.parametrize("model", list(DIRECTION_FNS))
-def test_crossing_from_a_sample_on_the_surface(model):
+@pytest.mark.parametrize("model", list(KERNEL_FNS))
+def test_crossing_from_a_sample_on_the_surface(monkeypatch, model):
     # a committed sample lands exactly on the plane and the next step
-    # crosses it: the false-position point is the bracket's end, so the
-    # search takes midpoints and stays at that sample
+    # crosses it: that sample is the crossing, found with no RK4 call
     field = ConstantIndex(n0=1.2)
     inv = OrbitInvariants(p=3.0, s=1.0)
     start = PhotonState(x=[0.1, -0.2, -0.4], u=[0.3, 0.1, 0.9])
@@ -574,16 +586,19 @@ def test_crossing_from_a_sample_on_the_surface(model):
     def stop(x):
         return float(x[2] - z_k)
 
+    calls = count_kernel_evals(monkeypatch, model)
     traj = integrate(start, inv, field, model=model, step=CROSSING_STEP,
                      max_len=1.0, stop=stop)
     assert traj.reason == "interface"
-    assert len(traj) == k + 2
-    assert np.array_equal(traj.x[: k + 1], free.x[: k + 1])
-    assert 0.0 < traj.t[-1] - free.t[k] <= 1e-10 * CROSSING_STEP
-    assert abs(stop(traj.x[-1])) <= 1e-10 * CROSSING_STEP
+    assert len(traj) == k + 1
+    assert np.array_equal(traj.x, free.x[: k + 1])
+    assert np.array_equal(traj.t, free.t[: k + 1])
+    assert stop(traj.x[-1]) == 0.0
+    # k full steps and the step that crossed: the search itself evaluates nothing
+    assert len(calls) == 4 * (k + 1)
 
 
-@pytest.mark.parametrize("model", list(DIRECTION_FNS))
+@pytest.mark.parametrize("model", list(KERNEL_FNS))
 def test_crossing_through_the_kink_of_a_min_of_two_planes(monkeypatch, model):
     # as in the runner's stop predicate, the minimum of two signed plane
     # distances; along the ray the kink (x = 0.94 / 0.95) and the root
@@ -607,7 +622,7 @@ def test_crossing_through_the_kink_of_a_min_of_two_planes(monkeypatch, model):
     assert search_calls <= 10
 
 
-@pytest.mark.parametrize("model", list(DIRECTION_FNS))
+@pytest.mark.parametrize("model", list(KERNEL_FNS))
 def test_crossing_at_grazing_incidence(monkeypatch, rng, model):
     # |u.n| ~ 1e-3: the residual rule |stop| <= 1e-12 step then bounds the
     # arc parameter only to 1e-12 step / |u.n|, not to the bracket's 1e-10

@@ -5,8 +5,16 @@ import numpy as np
 import pytest
 
 from spinray.errors import SceneError
-from spinray.runner import CSV_COLUMNS, run_sweep, run_trace, sweep_csv, sweep_rows
-from spinray.scene import parse_scene, parse_sweep
+from spinray.runner import (
+    CSV_COLUMNS,
+    _stop_function,
+    run_sweep,
+    run_trace,
+    sweep_csv,
+    sweep_rows,
+)
+from spinray.scattering import Interface
+from spinray.scene import Box, HalfSpace, parse_scene, parse_sweep
 
 from conftest import two_media_doc
 
@@ -21,6 +29,22 @@ def sweep_spec(parameter="incidence_angle", start=5.0, stop=85.0, count=9, **bas
     if base:
         doc["base"] = base
     return parse_sweep(json.dumps(doc))
+
+
+def test_stop_function_is_the_nearest_wall_on_floats(rng):
+    # the float walls against the array distances they replace
+    planes = [Interface(normal=rng.normal(size=3), anchor=rng.normal(size=3), n1=1.0, n2=1.5)
+              for _ in range(2)]
+    regions = [HalfSpace(normal=rng.normal(size=3), offset=0.3),
+               Box(lo=[-1.0, -2.0, -0.5], hi=[1.5, 0.5, 2.0])]
+    for region in regions:
+        for signs in ([1.0, -1.0], [-1.0, 1.0]):
+            stop = _stop_function(region, planes, signs)
+            for _ in range(50):
+                x = rng.uniform(-2.0, 2.0, size=3)
+                want = min([region.inside_distance(x)]
+                           + [sg * pl.signed_distance(x) for sg, pl in zip(signs, planes)])
+                assert stop(tuple(x.tolist())) == pytest.approx(want, rel=1e-14, abs=1e-14)
 
 
 def test_trace_refracts_at_the_expected_angle():

@@ -46,6 +46,24 @@ def test_parse_rejects_wrong_version(scene_doc):
         parse_scene(json.dumps(scene_doc))
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1", 2])
+def test_document_version_must_be_the_json_integer_1(scene_doc, version):
+    scene_doc["spinray_scene"] = version
+    with pytest.raises(SceneError, match=f"spinray_scene: unsupported version {version!r}"):
+        parse_scene(json.dumps(scene_doc))
+    sweep = {"spinray_sweep": version, "parameter": "spin", "start": -1.0, "stop": 1.0,
+             "count": 3}
+    with pytest.raises(SceneError, match=f"spinray_sweep: unsupported version {version!r}"):
+        parse_sweep(json.dumps(sweep))
+
+
+@pytest.mark.parametrize("interfaces", [None, 3, True, {}])
+def test_interfaces_must_be_an_array(scene_doc, interfaces):
+    scene_doc["interfaces"] = interfaces
+    with pytest.raises(SceneError, match=r"^interfaces: expected an array$"):
+        parse_scene(json.dumps(scene_doc))
+
+
 def test_parse_rejects_bad_json():
     with pytest.raises(SceneError, match="JSON"):
         parse_scene("{not json")

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from spinray.vectors import (
+    _fma_dot,
     cross,
     cross_matrix,
     orthonormal_complement,
@@ -44,6 +47,22 @@ def test_cross_equals_numpy_cross_bit_for_bit(rng):
         assert cross(a, b).tobytes() == np.cross(a, b).tobytes()
     e = np.eye(3)
     assert cross(-e[0], e[0]).tobytes() == np.cross(-e[0], e[0]).tobytes()  # signed zeros
+
+
+def test_fma_dot_rounds_each_fused_step_once(rng):
+    # reference: fma(a2, b2, fma(a1, b1, a0 b0)) with each fused step done
+    # in exact rational arithmetic and rounded once
+    def fma(a, b, c):
+        return float(Fraction(a) * Fraction(b) + Fraction(c))
+
+    for _ in range(2000):
+        a = (rng.normal(size=3) * 10.0 ** rng.uniform(-6, 6, size=3)).tolist()
+        b = (rng.normal(size=3) * 10.0 ** rng.uniform(-6, 6, size=3)).tolist()
+        want = fma(a[2], b[2], fma(a[1], b[1], a[0] * b[0]))
+        assert _fma_dot(*a, *b) == want
+    # the unfused sum rounds 0.1 * 0.1 before adding -0.01
+    assert _fma_dot(1.0, 0.1, 0.0, -0.01, 0.1, 0.0) == fma(0.1, 0.1, -0.01)
+    assert fma(0.1, 0.1, -0.01) != -0.01 + 0.1 * 0.1
 
 
 def test_orthonormal_complement_right_handed(rng):
