@@ -27,6 +27,14 @@ from .fields import IndexField
 from .vectors import cross_matrix, vec3
 
 
+def _g_unit_checked(n: float, U) -> np.ndarray:
+    """U as an array, once n^2 <U, U> = 1 holds within 1e-9 (U is g-unit)."""
+    U = vec3(U)
+    if abs(n**2 * float(U @ U) - 1.0) > 1e-9:
+        raise ValueError("U must be unit length in the optical metric")
+    return U
+
+
 @dataclass(frozen=True)
 class CurvatureData:
     """Connection and curvature of the optical metric at one point.
@@ -66,12 +74,6 @@ class CurvatureData:
         """Contract Gamma^k_ij a^i b^j."""
         return np.einsum("kij,i,j->k", self.gamma, vec3(a), vec3(b))
 
-    def _g_unit_checked(self, U) -> np.ndarray:
-        U = vec3(U)
-        if abs(self.n**2 * float(U @ U) - 1.0) > 1e-9:
-            raise ValueError("U must be unit length in the optical metric")
-        return U
-
     def r_omega(self, U) -> np.ndarray:
         """Matrix of R(Omega) = -2 (Ric Omega + Omega Ric) + R Omega.
 
@@ -80,14 +82,14 @@ class CurvatureData:
         is antisymmetric with respect to g, i.e.
         g(R(Omega) a, b) = -g(a, R(Omega) b).
         """
-        U = self._g_unit_checked(U)
+        U = _g_unit_checked(self.n, U)
         omega = self.n * cross_matrix(U)
         ric_endo = self.ricci / self.n**2
         return -2.0 * (ric_endo @ omega + omega @ ric_endo) + self.scalar * omega
 
     def einstein_uu(self, U) -> float:
         """Ein(U, U) = Ric(U, U) - R/2 for a g-unit velocity U."""
-        U = self._g_unit_checked(U)
+        U = _g_unit_checked(self.n, U)
         return float(U @ self.ricci @ U) - 0.5 * self.scalar
 
 

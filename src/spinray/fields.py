@@ -1,19 +1,17 @@
 """Refractive index fields and the velocity data derived from them.
 
-A field supplies n(x) together with its first two derivatives, in two
-forms.  component_jet(x0, x1, x2) works on Python floats and is what the
-transport kernels consume: it returns n, the three components of grad n
-and the six distinct entries of the symmetric hess n as ten floats, so no
-array is built on the transport path.  jet(x) returns the arrays
-(n, grad n, hess n) and serves the curvature code, velocity_data and the
-certification path.  The analytic fields implement component_jet and read
-jet, value, gradient and hessian off it; their float arithmetic follows
-the array formulas operation by operation (numpy's exp, dot products
-rounded as numpy's BLAS rounds them), so both forms agree bit for bit.
-The grid computes its jet in one cell lookup.  A custom field may
-implement only value, gradient and hessian: the base jet calls the three,
-and the base component_jet reads its floats off jet(); overriding
-component_jet is what makes a custom field fast.
+A field supplies n(x) and its first two derivatives from one source,
+component_jet(x0, x1, x2): on Python floats it returns n, the three
+components of grad n and the six distinct entries of the symmetric
+hess n, so no array is built on the transport path.  jet(x), defined
+once on IndexField, builds the arrays (n, grad n, hess n) from it for the
+curvature code, velocity_data and the certification path, so the two
+forms agree bit for bit.  Every built-in field computes component_jet
+directly: the analytic fields follow the array formulas operation by
+operation (numpy's exp, dot products rounded as numpy's BLAS rounds
+them), and the grid interpolates its ten node tables in one cell lookup.
+A custom field may implement only value, gradient and hessian, which the
+base component_jet reads; overriding component_jet makes it fast.
 
 The analytic variants (constant, linear gradient, Gaussian bump) return
 exact derivatives.  The grid variant interpolates tabulated samples
@@ -32,7 +30,7 @@ spinless and full kernels form the same quantities on floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,21 +54,25 @@ class IndexField:
     def hessian(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def jet(self, x) -> tuple[float, np.ndarray, np.ndarray]:
-        """(n, grad n, hess n) at x, by default from the three methods."""
-        x = vec3(x)
-        return self.value(x), self.gradient(x), self.hessian(x)
-
     def component_jet(self, x0: float, x1: float, x2: float) -> tuple:
         """(n, dn0, dn1, dn2, h00, h01, h02, h11, h12, h22) at (x0, x1, x2).
 
         Ten floats: n, grad n and the upper triangle of the symmetric
-        hess n.  By default read off jet(); the analytic fields compute
+        hess n.  By default read off value, gradient and hessian, which
+        is the adapter for a custom field; every built-in field computes
         them directly.
         """
-        n, grad, hess = self.jet(np.array([x0, x1, x2]))
-        (h00, h01, h02), (_, h11, h12), (_, _, h22) = np.asarray(hess, dtype=float).tolist()
-        return (float(n), *np.asarray(grad, dtype=float).tolist(), h00, h01, h02, h11, h12, h22)
+        x = vec3((x0, x1, x2))
+        n = float(self.value(x))
+        grad = np.asarray(self.gradient(x), dtype=float).tolist()
+        (h00, h01, h02), (_, h11, h12), (_, _, h22) = np.asarray(self.hessian(x), dtype=float).tolist()
+        return (n, *grad, h00, h01, h02, h11, h12, h22)
+
+    def jet(self, x) -> tuple[float, np.ndarray, np.ndarray]:
+        """(n, grad n, hess n) at x as a float and two arrays, from component_jet."""
+        n, d0, d1, d2, h00, h01, h02, h11, h12, h22 = self.component_jet(*vec3(x).tolist())
+        hess = np.array([[h00, h01, h02], [h01, h11, h12], [h02, h12, h22]])
+        return n, np.array([d0, d1, d2]), hess
 
     def _checked(self, n: float, x) -> float:
         if not MIN_INDEX <= n < math.inf:
@@ -81,18 +83,8 @@ class IndexField:
         return float(n)
 
 
-class _AnalyticIndex(IndexField):
-    """A field whose component_jet is its one formula source: jet() reads
-    the arrays off it."""
-
-    def jet(self, x) -> tuple[float, np.ndarray, np.ndarray]:
-        n, d0, d1, d2, h00, h01, h02, h11, h12, h22 = self.component_jet(*vec3(x).tolist())
-        hess = np.array([[h00, h01, h02], [h01, h11, h12], [h02, h12, h22]])
-        return n, np.array([d0, d1, d2]), hess
-
-
 @dataclass(frozen=True)
-class ConstantIndex(_AnalyticIndex):
+class ConstantIndex(IndexField):
     """Homogeneous medium n(x) = n0."""
 
     n0: float
@@ -115,7 +107,7 @@ class ConstantIndex(_AnalyticIndex):
 
 
 @dataclass(frozen=True)
-class LinearGradientIndex(_AnalyticIndex):
+class LinearGradientIndex(IndexField):
     """Affine index n(x) = n0 + <k, x> with constant gradient k."""
 
     n0: float
@@ -142,7 +134,7 @@ class LinearGradientIndex(_AnalyticIndex):
 
 
 @dataclass(frozen=True)
-class GaussianBumpIndex(_AnalyticIndex):
+class GaussianBumpIndex(IndexField):
     """Radial bump n(x) = n0 + A exp(-|x - c|^2 / (2 w^2))."""
 
     n0: float
@@ -211,14 +203,10 @@ class GridIndex(IndexField):
         if not np.all(self.spacing > 0.0):
             raise ValueError("grid spacing must be positive")
         grads = np.gradient(values, *self.spacing, edge_order=2)
-        self._grad = grads
-        # hess[a][b] sampled on nodes for b >= a; the stencils commute, so
-        # hess[b][a] is the same table
-        self._hess = [[None] * 3 for _ in range(3)]
-        for a in range(3):
-            second = np.gradient(grads[a], *self.spacing, edge_order=2)
-            for b in range(a, 3):
-                self._hess[a][b] = self._hess[b][a] = second[b]
+        seconds = [np.gradient(g, *self.spacing, edge_order=2) for g in grads]
+        # the ten node tables in component_jet order; the difference
+        # stencils commute, so the upper triangle of hess n is all of it
+        self._tables = (values, *grads, *(seconds[a][b] for a in range(3) for b in range(a, 3)))
 
     def _locate(self, x) -> tuple[np.ndarray, list[np.ndarray]]:
         """Cell index of x and the trilinear weights along each axis."""
@@ -244,15 +232,10 @@ class GridIndex(IndexField):
         idx, weights = self._locate(x)
         return self._checked(self._interp(self.values, idx, weights), x)
 
-    def jet(self, x) -> tuple[float, np.ndarray, np.ndarray]:
-        idx, weights = self._locate(x)
-        n = self._checked(self._interp(self.values, idx, weights), x)
-        grad = np.array([self._interp(g, idx, weights) for g in self._grad])
-        h = np.empty((3, 3))
-        for a in range(3):
-            for b in range(a, 3):
-                h[a, b] = h[b, a] = self._interp(self._hess[a][b], idx, weights)
-        return n, grad, h
+    def component_jet(self, x0: float, x1: float, x2: float) -> tuple:
+        idx, weights = self._locate((x0, x1, x2))
+        n, *derivatives = [self._interp(table, idx, weights) for table in self._tables]
+        return (self._checked(n, (x0, x1, x2)), *derivatives)
 
     def gradient(self, x) -> np.ndarray:
         return self.jet(x)[1]
@@ -302,13 +285,14 @@ def dump_index_grid(grid: GridIndex) -> str:
 
 @dataclass(frozen=True)
 class VelocityData:
-    """Velocity v = 1/n, its gradient g, and the matrix dg = grad g."""
+    """Velocity v = 1/n, its gradient g, the matrix dg = grad g, and the
+    index n and its gradient grad_n they came from."""
 
     v: float
     g: np.ndarray
     dg: np.ndarray
-    n: float = dataclass_field(repr=False, default=0.0)
-    grad_n: np.ndarray = dataclass_field(repr=False, default=None)
+    n: float
+    grad_n: np.ndarray
 
     @property
     def div_g(self) -> float:

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curvature import _g_unit_checked
 from .errors import (
     DegenerateKernelError,
     OutOfDomainError,
@@ -366,9 +367,7 @@ def direction_general_metric(
     |p^2 + s^2 Ein(U, U)| drops below 1e-9 p^2.
     """
     n = field.value(mstate.X)
-    U = mstate.U
-    if abs(n**2 * float(U @ U) - 1.0) > 1e-9:
-        raise ValueError("U must be unit length in the optical metric")
+    U = _g_unit_checked(n, mstate.U)
     return _direction(_general_kernel, field, inv.p, inv.s, mstate.X, n * U)
 
 
@@ -423,7 +422,8 @@ def _component_kernel(model: str):
 
 
 # The crossing search ends when the bracket on the step fraction is this
-# narrow, or when the stop predicate is this small in units of the step.
+# narrow, or when the stop predicate is this small in units of the step and
+# the step fraction it implies is within _CROSSING_BRACKET as well.
 _CROSSING_BRACKET = 1e-10
 _CROSSING_RESIDUAL = 1e-12
 
@@ -438,7 +438,11 @@ def _locate_crossing(advance, f, y_lo, f_lo: float, f_hi: float, f_tol: float):
     each iterate is the false-position point of the bracket [lo, hi]; when
     the same end moves twice in a row, the value kept at the other end is
     halved.  A point not strictly inside the bracket becomes the midpoint.
-    A zero of f counts as the far side.  Returns the newest iterate.
+    A zero of f counts as the far side.  The search ends when the bracket
+    is _CROSSING_BRACKET wide, or when the newest |f| is at most f_tol and
+    its estimated distance to the root, |f| over the secant slope of the
+    bracket, is at most _CROSSING_BRACKET: at grazing incidence a small
+    |f| alone does not pin the fraction down.  Returns the newest iterate.
     """
     if f_lo == 0.0:
         return 0.0, y_lo
@@ -460,7 +464,9 @@ def _locate_crossing(advance, f, y_lo, f_lo: float, f_hi: float, f_tol: float):
             if moved == -1:
                 f_lo *= 0.5
             moved = -1
-        if hi - lo <= _CROSSING_BRACKET or abs(val) <= f_tol:
+        width = hi - lo
+        if width <= _CROSSING_BRACKET or (
+                abs(val) <= f_tol and abs(val) * width <= _CROSSING_BRACKET * (f_lo - f_hi)):
             return frac, state
 
 
@@ -486,11 +492,12 @@ def integrate(
     to a signed distance: integration ends when its sign differs from the
     sign at the start.  The crossing inside that step is located by
     Illinois regula falsi on the step fraction, each iterate a genuine RK4
-    step of that fraction from the last sample; the search stops when the
-    bracket is 1e-10 of the step wide or when |stop| at the newest iterate
-    is at most 1e-12 of the step, and that iterate is the final sample.  A
-    sample with stop exactly 0 before the crossing is itself the final
-    sample.  Running out of field domain ends the trajectory at the last
+    step of that fraction from the last sample, reusing its first stage;
+    the search stops when the bracket is 1e-10 of the step wide, or when
+    |stop| at the newest iterate is at most 1e-12 of the step and puts it
+    within 1e-10 of the step of the crossing, and that iterate is the
+    final sample.  A sample with stop exactly 0 before the crossing is
+    itself the final sample.  Running out of field domain ends the trajectory at the last
     good sample with reason "boundary".  Kernel errors propagate with the
     offending arc parameter attached.
     """
@@ -511,9 +518,9 @@ def integrate(
             raise ValueError(f"cannot normalize a vector of norm {norm:.3e}")
         return kernel(jet, p, s, x0, x1, x2, u0 / norm, u1 / norm, u2 / norm)
 
-    def rk4(y, h):
+    def rk4(y, k1, h):
+        # k1 = stage(y) does not depend on h: the crossing search reuses it
         half = 0.5 * h
-        k1 = stage(y)
         k2 = stage([a + half * b for a, b in zip(y, k1)])
         k3 = stage([a + half * b for a, b in zip(y, k2)])
         k4 = stage([a + h * b for a, b in zip(y, k3)])
@@ -539,7 +546,8 @@ def integrate(
     while t < max_len - 1e-15:
         h = min(step, max_len - t)
         try:
-            y_next = rk4(y, h)
+            k1 = stage(y)
+            y_next = rk4(y, k1, h)
         except OutOfDomainError:
             reason = "boundary"
             break
@@ -554,7 +562,7 @@ def integrate(
                 stop_sign = sign
             elif sign != 0.0 and sign != stop_sign:
                 frac, y_cross = _locate_crossing(
-                    lambda frac: rk4(y, h * frac),
+                    lambda frac: rk4(y, k1, h * frac),
                     lambda z: stop_sign * stop(z[:3]),
                     y,
                     stop_sign * stop(y[:3]),

@@ -167,7 +167,7 @@ def test_float_kernels_agree_with_the_matrix_oracle(rng, kind):
 def test_base_component_jet_reads_the_array_jet(rng):
     # a custom field that only implements value, gradient and hessian: the
     # base component_jet reads n, grad n and the upper triangle of hess n
-    # off the base jet, so it repeats the wrapped bump's own floats exactly
+    # off the three, so it repeats the wrapped bump's own floats exactly
     inner = GaussianBumpIndex(n0=1.1, amplitude=0.4, center=(0.1, 0.0, -0.2), width=0.9)
 
     class Custom(IndexField):

@@ -1,5 +1,7 @@
 """No module of the package, the tests or the demos imports a name it
 does not use, and no private name of the package is left unreferenced.
+Each field class has one derivative source, and the transport hot path
+makes no array call.
 
 A static scan with the standard-library ast module: an imported name
 counts as used when it appears as a name anywhere in the module or is
@@ -171,3 +173,26 @@ def test_float_transport_path_makes_no_array_calls():
     uses = [use for rel, functions in FLOAT_PATH.items()
             for use in array_uses(ROOT / rel, functions)]
     assert uses == []
+
+
+def test_fields_derive_jet_from_component_jet_alone():
+    # IndexField.jet builds the arrays from component_jet; a field class
+    # that defined its own jet would be a second source of the same ten
+    # numbers, and one without component_jet would fall back to the
+    # value/gradient/hessian adapter meant for custom fields
+    tree = ast.parse((ROOT / "src/spinray/fields.py").read_text())
+    members = {}
+    field_classes = {"IndexField"}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            members[node.name] = {item.name for item in node.body
+                                  if isinstance(item, ast.FunctionDef)}
+            members[node.name] |= {t.id for item in node.body if isinstance(item, ast.Assign)
+                                   for t in item.targets if isinstance(t, ast.Name)}
+            if any(isinstance(base, ast.Name) and base.id in field_classes
+                   for base in node.bases):
+                field_classes.add(node.name)
+    built_in = field_classes - {"IndexField"}
+    assert built_in >= {"ConstantIndex", "LinearGradientIndex", "GaussianBumpIndex", "GridIndex"}
+    assert [name for name in members if "jet" in members[name]] == ["IndexField"]
+    assert sorted(name for name in built_in if "component_jet" not in members[name]) == []
