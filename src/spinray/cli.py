@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -83,6 +84,8 @@ def _cmd_curvature(args) -> int:
         raise SceneError(f"--at must be x,y,z with numeric entries: {exc}") from exc
     if len(at) != 3:
         raise SceneError("--at must have exactly three comma-separated coordinates")
+    if not all(map(math.isfinite, at)):
+        raise SceneError(f"--at entries must be finite, got {args.at}")
     idx = scene.medium_at(at)
     if idx is None:
         raise SceneError(f"point {at} is not inside exactly one medium region")
@@ -108,6 +111,16 @@ def _cmd_curvature(args) -> int:
     return EXIT_OK
 
 
+def _positive_step(text: str) -> float:
+    try:
+        step = float(text)
+    except ValueError:
+        step = math.nan
+    if not (math.isfinite(step) and step > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return step
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinray",
@@ -126,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["spinless", "full", "linearized", "general"],
         help="transport model (default full)",
     )
-    p_trace.add_argument("--step", type=float, default=0.01, help="integration step")
+    p_trace.add_argument("--step", type=_positive_step, default=0.01, help="integration step")
     p_trace.set_defaults(fn=_cmd_trace)
 
     p_sweep = sub.add_parser("sweep", help="single-interface parameter sweep (CSV)")

@@ -134,12 +134,6 @@ def ray_from_point_direction(x, u) -> Ray:
     return Ray(q=x - u * float(u @ x), u=u)
 
 
-def translate_ray(ray: Ray, t) -> Ray:
-    """The ray translated by t (same direction, line shifted by t)."""
-    t = vec3(t)
-    return ray_from_point_direction(ray.q + t, ray.u)
-
-
 def orbit_tangent(ray: Ray, dq, du, project: bool = False) -> OrbitTangent:
     """Tangent vector at a ray, validated against the constraints.
 

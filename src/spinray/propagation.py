@@ -501,7 +501,7 @@ def integrate(
     good sample with reason "boundary".  Kernel errors propagate with the
     offending arc parameter attached.
     """
-    if step <= 0.0 or max_len <= 0.0:
+    if not (step > 0.0 and max_len > 0.0):
         raise ValueError("step and max_len must be positive")
     model = canonical_model(model)
     kernel = _component_kernel(model)

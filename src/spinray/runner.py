@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SceneError, SpinrayError
-from .orbits import OrbitInvariants, make_ray, ray_from_point_direction
+from .orbits import OrbitInvariants, Ray, make_ray, ray_from_point_direction
 from .propagation import PhotonState, canonical_model, integrate
 from .scattering import (
     Interface,
@@ -61,14 +61,18 @@ class TraceResult:
         return [e for e in self.events if e["type"] == "scatter"]
 
 
-def _angles(n: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> tuple[float, float]:
-    """Signed in-plane angles of the incoming and outgoing directions."""
+def _scatter_event(ray1: Ray, s: float, iface: Interface, inv: OrbitInvariants):
+    """Scatter on the automatic branch: the outcome, the signed in-plane angles
+    theta1 and theta2 of u1 and u2, and the scaled residuals res_L and res_P."""
+    out = scatter(ray1, s, iface, inv, mode="auto")
+    res = conservation_check(ray1, s, out, iface, inv)
+    n, u1, u2 = iface.normal, ray1.u, out.ray2.u
     theta1 = math.atan2(float(np.linalg.norm(cross(n, u1))), float(n @ u1))
     tang = u1 - n * float(n @ u1)
     norm = float(np.linalg.norm(tang))
     tang = tang / norm if norm > 1e-12 else np.zeros(3)
     theta2 = math.atan2(float(u2 @ tang), float(u2 @ n))
-    return theta1, theta2
+    return out, theta1, theta2, res.angular / res.scale, res.tangential / res.scale
 
 
 def _stop_function(region: HalfSpace | Box, planes, signs):
@@ -167,9 +171,7 @@ def run_trace(
             iface = iface.flipped()
         hit = x_end - iface.normal * iface.signed_distance(x_end)
         ray1 = ray_from_point_direction(hit, u_end)
-        outcome = scatter(ray1, s_cur, iface, inv, mode="auto")
-        res = conservation_check(ray1, s_cur, outcome, iface, inv)
-        theta1, theta2 = _angles(iface.normal, u_end, outcome.ray2.u)
+        outcome, theta1, theta2, res_l, res_p = _scatter_event(ray1, s_cur, iface, inv)
         events.append(
             {
                 "type": "scatter",
@@ -181,8 +183,8 @@ def run_trace(
                 "s_in": s_cur,
                 "s_out": outcome.s2,
                 "shift": outcome.shift.tolist(),
-                "res_L": res.angular / res.scale,
-                "res_P": res.tangential / res.scale,
+                "res_L": res_l,
+                "res_P": res_p,
             }
         )
         n_scatter += 1
@@ -233,12 +235,9 @@ def _sweep_row(param: float, n1: float, n2: float, theta1: float, p: float, s: f
     }
     try:
         iface = Interface(normal=(0.0, 0.0, 1.0), anchor=(0.0, 0.0, 0.0), n1=n1, n2=n2)
-        u1 = np.array([math.sin(theta1), 0.0, math.cos(theta1)])
-        ray1 = make_ray(np.zeros(3), u1)
-        inv = OrbitInvariants(p=p, s=s)
-        outcome = scatter(ray1, s, iface, inv, mode="auto")
-        res = conservation_check(ray1, s, outcome, iface, inv)
-        _, theta2 = _angles(iface.normal, u1, outcome.ray2.u)
+        ray1 = make_ray(np.zeros(3), (math.sin(theta1), 0.0, math.cos(theta1)))
+        outcome, _, theta2, res_l, res_p = _scatter_event(
+            ray1, s, iface, OrbitInvariants(p=p, s=s))
         row.update(
             theta2_deg=math.degrees(theta2),
             s2=outcome.s2,
@@ -246,8 +245,8 @@ def _sweep_row(param: float, n1: float, n2: float, theta1: float, p: float, s: f
             shift_x=float(outcome.shift[0]),
             shift_y=float(outcome.shift[1]),
             shift_z=float(outcome.shift[2]),
-            res_L=res.angular / res.scale,
-            res_P=res.tangential / res.scale,
+            res_L=res_l,
+            res_P=res_p,
         )
     except (SpinrayError, ValueError) as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"

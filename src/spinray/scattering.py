@@ -20,7 +20,10 @@ points backward in a left-handed medium).  Refraction keeps the spin
 (s2 = s1) and takes the root that sends the energy into side 2, which is
 the one continuous with the identity, lambda = -alpha + sign(n2) sqrt(...);
 reflection is the mirror branch lambda = -2 alpha with the spin flipped
-(s2 = -s1).  Equivariance pins
+(s2 = -s1), taken past the critical angle, where the refraction root
+turns complex, as total reflection.  scatter_coefficients reads the
+incoming ray and picks the branch in one pass; scatter applies the map and
+builds the outgoing ray.  Equivariance pins
 
     mu = (C1/C2 - 1) z / alpha,         nu = (C1/C2) lambda z / alpha,
     rho = ((C'2/C2 - C'1/C1) alpha + lambda C'2/C2) / |n x p1|^2,
@@ -51,7 +54,6 @@ from .orbits import (
     _twisted_form,
     make_ray,
     orbit_tangent,
-    translate_ray,
 )
 from .vectors import cross, rotation_about, unit, vec3
 
@@ -94,7 +96,7 @@ class Interface:
 
 @dataclass(frozen=True)
 class ScatterCoefficients:
-    """Coefficients of the crossing map in anchored coordinates, with the
+    """Coefficients of the crossing map on the branch taken, with the
     anchored foot point q1 and momentum p1 of the incoming ray they act on."""
 
     alpha: float
@@ -103,10 +105,6 @@ class ScatterCoefficients:
     nu: float
     rho: float
     z: float
-    C1: float
-    C2: float
-    C1p: float
-    C2p: float
     mode: str
     s2: float
     q1: np.ndarray
@@ -155,50 +153,52 @@ def scatter_coefficients(
     mode: str = "refract",
     zero_rho: bool = False,
 ) -> ScatterCoefficients:
-    """Solve the crossing-map coefficients for one branch.
+    """Read the incoming ray, pick the branch and solve its coefficients.
 
-    mode "refract" keeps the spin and raises TotalReflectionRequiredError
-    past the critical angle (C1 > C2 and alpha^2 + C2 - C1 < 0); mode
-    "reflect" is the mirror branch with the spin flipped.  Raises
+    This is the one place a branch is chosen.  mode "refract" keeps the
+    spin and raises TotalReflectionRequiredError past the critical angle
+    (alpha^2 + C2 - C1 < 0); "reflect" is the mirror branch with the spin
+    flipped; "auto" refracts where it can and takes the mirror branch,
+    tagged "total_reflection", past the critical angle.  Raises
     NotIncomingError unless the energy flows toward side 2, <n, u1> > 0,
     i.e. unless <n, p1> has the sign of n1.  zero_rho forces the Hall term
     to zero (a deliberately broken map for negative controls; it violates
     angular momentum conservation and symplecticity at oblique incidence).
     """
-    local = translate_ray(ray1, -iface.anchor)
-    n = iface.normal
-    p1 = inv.p * iface.n1 * local.u
+    n, u = iface.normal, ray1.u
+    d = ray1.q - iface.anchor
+    q1 = d - u * float(u @ d)
+    p1 = inv.p * iface.n1 * u
     alpha = float(n @ p1)
     if alpha * iface.n1 <= 0.0:
         raise NotIncomingError(
-            f"<n, u1> = {float(n @ local.u):.6g} must be positive: the ray does not "
+            f"<n, u1> = {float(n @ u):.6g} must be positive: the ray does not "
             "travel from side 1 toward side 2"
         )
-    z = float(n @ local.q)
+    z = float(n @ q1)
     C1, C1p = casimirs(inv.p, iface.n1, s1)
-    if mode == "refract":
-        s2 = s1
-        C2, C2p = casimirs(inv.p, iface.n2, s2)
-        disc = alpha**2 + C2 - C1
+    C2, C2p = casimirs(inv.p, iface.n2, s1)
+    disc = alpha**2 + C2 - C1
+    if mode == "reflect" or (mode == "auto" and disc < 0.0):
+        s2 = -s1
+        C2, C2p = casimirs(inv.p, iface.n1, s2)
+        lam = -2.0 * alpha
+        tag = MODE_REFLECTION if mode == "reflect" else MODE_TOTAL_REFLECTION
+    elif mode in ("auto", "refract"):
         if disc < 0.0:
             raise TotalReflectionRequiredError(
                 f"refraction impossible: alpha^2 + C2 - C1 = {disc:.6g} < 0 "
                 "(incidence beyond the critical angle)"
             )
+        s2 = s1
         # C2 == C1 has the exact roots 0 and -2 alpha; taking |alpha|
         # directly keeps the map exactly the identity at n2 = n1 and
         # exactly the point reflection at n2 = -n1
         root = math.sqrt(disc) if C2 != C1 else abs(alpha)
         lam = -alpha + math.copysign(root, iface.n2)
         tag = MODE_REFRACTION
-    elif mode == "reflect":
-        s2 = -s1
-        C2 = C1
-        C2p = inv.p * iface.n1 * s2
-        lam = -2.0 * alpha
-        tag = MODE_REFLECTION
     else:
-        raise ValueError(f"mode must be 'refract' or 'reflect', got {mode!r}")
+        raise ValueError(f"mode must be 'auto', 'refract' or 'reflect', got {mode!r}")
     mu = (C1 / C2 - 1.0) * z / alpha
     nu = (C1 / C2) * lam * z / alpha
     sin2 = C1 - alpha**2
@@ -207,8 +207,7 @@ def scatter_coefficients(
     else:
         rho = ((C2p / C2 - C1p / C1) * alpha + lam * C2p / C2) / sin2
     return ScatterCoefficients(
-        alpha=alpha, lam=lam, mu=mu, nu=nu, rho=rho, z=z,
-        C1=C1, C2=C2, C1p=C1p, C2p=C2p, mode=tag, s2=s2, q1=local.q, p1=p1,
+        alpha=alpha, lam=lam, mu=mu, nu=nu, rho=rho, z=z, mode=tag, s2=s2, q1=q1, p1=p1,
     )
 
 
@@ -222,34 +221,20 @@ def scatter(
 ) -> ScatterOutcome:
     """Apply the crossing map to an incoming ray.
 
-    mode "auto" refracts where possible and falls back to the mirror
-    branch past the critical angle (tagged "total_reflection"); "refract"
-    and "reflect" force a branch.  The outgoing direction is
-    u2 = p2 / (p n_out) with the signed out-side index, so through a
-    negative-index side the ray bends to the same side of the normal
-    (negative refraction) while the momentum folds back.
+    scatter_coefficients reads the ray and picks the branch for the mode
+    ("auto", "refract" or "reflect"); this applies the map and builds the
+    one outgoing ray.  The outgoing direction is u2 = p2 / (p n_out) with
+    the signed out-side index, so through a negative-index side the ray
+    bends to the same side of the normal (negative refraction) while the
+    momentum folds back.
     """
-    if mode == "auto":
-        try:
-            co = scatter_coefficients(ray1, s1, iface, inv, "refract", zero_rho)
-            tag = MODE_REFRACTION
-        except TotalReflectionRequiredError:
-            co = scatter_coefficients(ray1, s1, iface, inv, "reflect", zero_rho)
-            tag = MODE_TOTAL_REFLECTION
-    elif mode in ("refract", "reflect"):
-        co = scatter_coefficients(ray1, s1, iface, inv, mode, zero_rho)
-        tag = co.mode
-    else:
-        raise ValueError(f"mode must be 'auto', 'refract' or 'reflect', got {mode!r}")
-    n = iface.normal
-    p1 = co.p1
+    co = scatter_coefficients(ray1, s1, iface, inv, mode, zero_rho)
+    n, p1 = iface.normal, co.p1
     p2 = p1 + co.lam * n
-    n_out = iface.n2 if tag == MODE_REFRACTION else iface.n1
-    u2 = p2 / (inv.p * n_out)
+    n_out = iface.n2 if co.mode == MODE_REFRACTION else iface.n1
     shift = co.rho * cross(n, p1)
-    q2 = co.q1 + co.mu * p1 + co.nu * n + shift
-    ray2 = translate_ray(make_ray(q2, u2), iface.anchor)
-    return ScatterOutcome(ray2=ray2, s2=co.s2, pvec2=p2, mode=tag, shift=shift)
+    ray2 = make_ray(co.q1 + co.mu * p1 + co.nu * n + shift + iface.anchor, p2 / (inv.p * n_out))
+    return ScatterOutcome(ray2=ray2, s2=co.s2, pvec2=p2, mode=co.mode, shift=shift)
 
 
 def snell_angles(theta1: float, n1: float, n2: float, mode: str = "refract") -> float:

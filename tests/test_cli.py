@@ -167,6 +167,20 @@ def test_curvature_bad_point(scene_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("trace", "--step", "0"),
+    ("trace", "--step", "-1"),
+    ("trace", "--step", "nan"),
+    ("trace", "--step", "inf"),
+    ("curvature", "--at", "nan,0,0"),
+], ids=["step-0", "step-negative", "step-nan", "step-inf", "at-nan"])
+def test_non_finite_or_non_positive_input_is_an_input_error(scene_path, args):
+    proc = run_cli(args[0], "--scene", scene_path, *args[1:])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("spinray")
+
+
 def test_no_subcommand_is_an_error():
     proc = run_cli()
     assert proc.returncode == 2

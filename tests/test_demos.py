@@ -1,5 +1,7 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script, and every Python block of README.md, runs to completion
+against the package in src/."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +10,24 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                           flags=re.DOTALL | re.MULTILINE)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
                           timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_has_python_blocks():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize("block", README_BLOCKS,
+                         ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_python_block_runs(block):
+    proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True,
+                          timeout=120, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr

@@ -12,7 +12,6 @@ from spinray.orbits import (
     spinless_potential,
     symplectic_form,
     tangent_basis,
-    translate_ray,
     wave_plane_bracket,
 )
 from spinray.vectors import orthonormal_complement
@@ -73,14 +72,6 @@ def test_rays_from_points_of_one_line_coincide(rng):
         t_grid = np.linspace(-2, 2, 41)
         dists = [np.linalg.norm(r1.point_at(t)) for t in t_grid]
         assert np.linalg.norm(r1.q) <= min(dists) + 1e-12
-
-
-def test_translate_ray_moves_the_line():
-    ray = ray_from_point_direction([0, 1, 0], [1, 0, 0])
-    moved = translate_ray(ray, [5.0, 2.0, 0.0])
-    # translation along u is invisible; the y-offset adds up
-    assert np.allclose(moved.q, [0, 3, 0], atol=1e-12)
-    assert np.allclose(moved.u, ray.u)
 
 
 def test_orbit_tangent_validation_and_projection(rng):

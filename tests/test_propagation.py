@@ -367,6 +367,9 @@ def test_integrate_rejects_bad_arguments():
         integrate(start, inv, field, step=0.0)
     with pytest.raises(ValueError):
         integrate(start, inv, field, max_len=-1.0)
+    for bad in ({"step": math.nan}, {"max_len": math.nan}):
+        with pytest.raises(ValueError, match="must be positive"):
+            integrate(start, inv, field, **bad)
     with pytest.raises(ValueError):
         integrate(start, inv, field, model="warp")
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import spinray.scattering as scattering
 from spinray.errors import NotIncomingError, TotalReflectionRequiredError
-from spinray.orbits import OrbitInvariants, make_ray, ray_from_point_direction
+from spinray.orbits import OrbitInvariants, Ray, make_ray, ray_from_point_direction
 from spinray.scattering import (
     MODE_REFLECTION,
     MODE_REFRACTION,
@@ -367,4 +368,102 @@ def test_scatter_mode_validation():
     with pytest.raises(ValueError):
         scatter(ray, 1.0, flat_interface(), inv, mode="bounce")
     with pytest.raises(ValueError):
-        scatter_coefficients(ray, 1.0, flat_interface(), inv, mode="auto")
+        scatter_coefficients(ray, 1.0, flat_interface(), inv, mode="bounce")
+
+
+def test_scatter_coefficients_pick_the_branch():
+    # "auto" reads the branch off the sign of the discriminant: refraction
+    # below the critical angle (30 deg here), the mirror branch past it
+    iface = flat_interface(n1=1.0, n2=0.5)
+    inv = OrbitInvariants(p=1.0, s=1.0)
+    below = scatter_coefficients(incoming_ray(math.radians(20.0)), 1.0, iface, inv, mode="auto")
+    past = scatter_coefficients(incoming_ray(math.radians(45.0)), 1.0, iface, inv, mode="auto")
+    assert (below.mode, below.s2) == (MODE_REFRACTION, 1.0)
+    assert (past.mode, past.s2) == (MODE_TOTAL_REFLECTION, -1.0)
+    assert past.lam == -2.0 * past.alpha and past.rho == 0.0
+    forced = scatter_coefficients(incoming_ray(math.radians(45.0)), 1.0, iface, inv, mode="reflect")
+    assert forced.mode == MODE_REFLECTION and forced.lam == past.lam
+    with pytest.raises(TotalReflectionRequiredError):
+        scatter_coefficients(incoming_ray(math.radians(45.0)), 1.0, iface, inv, mode="refract")
+
+
+def test_hall_shift_matches_the_per_photon_formula():
+    # independent oracle (Onoda, Murakami & Nagaosa 2004; Bliokh & Bliokh
+    # 2006): the shift along n x u1 / |n x u1| is
+    # s (cos theta2 - cos theta1) / (p n1 sin theta1), with signed n1
+    anchor = np.array([0.3, -0.7, 1.1])
+    n = np.array([0.0, 0.0, 1.0])
+    worst, refracted = 0.0, 0
+    for theta in np.linspace(0.05, 1.4, 12):
+        for n1 in (1.0, 1.3, -1.2):
+            for ratio in (0.6, 1.5, 2.5, -0.7, -1.0, -1.8):
+                iface = flat_interface(n1=n1, n2=ratio * n1, anchor=anchor)
+                ray = incoming_ray(theta, through=anchor + [0.2, 0.1, -0.3])
+                for p in (0.5, 2.0):
+                    for s in (1.0, -1.0):
+                        out = scatter(ray, s, iface, OrbitInvariants(p=p, s=s))
+                        if out.mode != MODE_REFRACTION:
+                            continue
+                        e = np.cross(n, ray.u)
+                        sin1 = float(np.linalg.norm(e))
+                        got = float(out.shift @ e) / sin1
+                        cos1, cos2 = float(ray.u @ n), float(out.ray2.u @ n)
+                        want = s * (cos2 - cos1) / (p * n1 * sin1)
+                        worst = max(worst, abs(got - want))
+                        refracted += 1
+    assert refracted > 600
+    assert worst < 1e-12
+    # the worked value: 30 deg, n 1 -> 1.5, along n x u1 = +y
+    out = scatter(incoming_ray(math.radians(30.0)), 1.0, flat_interface(),
+                  OrbitInvariants(p=1.0, s=1.0))
+    assert out.shift[1] == pytest.approx(0.15357, abs=1e-5)
+
+
+@pytest.mark.parametrize("theta_deg", [30.0, 45.0], ids=["refraction", "total_reflection"])
+def test_one_scatter_solves_once_and_builds_one_ray(monkeypatch, theta_deg):
+    ray = incoming_ray(math.radians(theta_deg), through=(0.2, 0.1, -0.3))
+    iface = flat_interface(n1=1.0, n2=0.5, anchor=(0.1, 0.4, 0.0))  # critical angle 30 deg
+    counts = {"solves": 0, "rays": 0}
+    solve = scattering.scatter_coefficients
+    post_init = Ray.__post_init__
+
+    def counted_solve(*args, **kwargs):
+        counts["solves"] += 1
+        return solve(*args, **kwargs)
+
+    def counted_post_init(self):
+        counts["rays"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(scattering, "scatter_coefficients", counted_solve)
+    monkeypatch.setattr(Ray, "__post_init__", counted_post_init)
+    out = scatter(ray, 1.0, iface, OrbitInvariants(p=1.0, s=1.0), mode="auto")
+    assert out.mode == (MODE_REFRACTION if theta_deg < 40.0 else MODE_TOTAL_REFLECTION)
+    assert counts == {"solves": 1, "rays": 1}
+
+
+def test_scatter_commutes_with_every_translation(rng):
+    # full translation covariance, including motions off the plane, which
+    # the plane-preserving equivariance check does not reach
+    for _ in range(40):
+        anchor = rng.uniform(-1, 1, size=3)
+        n1 = float(rng.choice([1.0, 1.3, -1.2]))
+        n2 = float(rng.choice([0.5, 1.5, 2.0, -1.0, -1.8])) * n1
+        normal = rng.normal(size=3)
+        iface = Interface(normal=normal, anchor=anchor, n1=n1, n2=n2)
+        u = rng.normal(size=3)
+        u = u * math.copysign(1.0, float(u @ iface.normal))
+        ray = ray_from_point_direction(anchor + rng.uniform(-0.5, 0.5, size=3), u)
+        s1 = float(rng.choice([-1.0, 1.0]))
+        inv = OrbitInvariants(p=rng.uniform(0.5, 3.0), s=s1)
+        t = rng.uniform(-3, 3, size=3)
+        assert abs(float(t @ iface.normal)) > 1e-3
+        moved_iface = Interface(normal=iface.normal, anchor=anchor + t, n1=n1, n2=n2)
+        out = scatter(ray, s1, iface, inv)
+        out_t = scatter(make_ray(ray.q + t, ray.u), s1, moved_iface, inv)
+        expected = make_ray(out.ray2.q + t, out.ray2.u)
+        assert (out_t.mode, out_t.s2) == (out.mode, out.s2)
+        assert np.allclose(out_t.ray2.q, expected.q, rtol=0.0, atol=1e-12)
+        assert np.allclose(out_t.ray2.u, expected.u, rtol=0.0, atol=1e-12)
+        assert np.allclose(out_t.shift, out.shift, rtol=0.0, atol=1e-12)
+        assert np.allclose(out_t.pvec2, out.pvec2, rtol=0.0, atol=1e-12)
