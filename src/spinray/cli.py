@@ -9,6 +9,7 @@ sweep table, CSV), check (verification suites, JSON report), curvature
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -40,7 +41,7 @@ def _write(text: str, out: str) -> None:
 
 
 def _json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def _cmd_trace(args) -> int:
@@ -121,8 +122,16 @@ def _positive_step(text: str) -> float:
     return step
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a SceneError, which main prints as one line."""
+
+    def error(self, message: str):
+        raise SceneError(message)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinray",
         description="Trace colored, spinning light rays through gradient media "
         "and scatter them at planar interfaces.",
@@ -167,9 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (SceneError, OSError, json.JSONDecodeError) as exc:
         print(f"spinray: input error: {exc}", file=sys.stderr)

@@ -32,6 +32,8 @@ general kernel applies Ric, R(Omega) and the Christoffel symbols of the
 conformal metric to vectors in closed form, without the (3, 3, 3) gamma.
 integrate runs RK4 on 6-float tuples with these kernels; the public
 direction_* functions are thin adapters from arrays to the same kernels.
+In a ConstantIndex medium g = 0, every kernel gives dx = u, du = 0, and
+integrate takes each step x + h u in closed form, calling no kernel.
 
 kernel_residual certifies a direction by evaluating the 2-form against a
 basis of test variations.  It keeps its own matrix code (velocity_data),
@@ -51,7 +53,7 @@ from .errors import (
     OutOfDomainError,
     SpinCurvatureSingularityError,
 )
-from .fields import IndexField, velocity_data
+from .fields import ConstantIndex, IndexField, velocity_data
 from .orbits import OrbitInvariants
 from .vectors import _cross, _fma_dot, cross, orthonormal_complement, unit, vec3
 
@@ -486,7 +488,8 @@ def integrate(
     carried as six Python floats (x, u) and each stage calls the model's
     component kernel on the field's component_jet, so no array is built
     until the Trajectory.  A non-finite state raises ValueError before a
-    kernel sees it.
+    kernel sees it.  In a ConstantIndex medium each step is x + h u with u
+    unchanged, in closed form, and no kernel or field is called.
 
     `stop`, if given, maps a position, passed as a tuple of three floats,
     to a signed distance: integration ends when its sign differs from the
@@ -497,9 +500,10 @@ def integrate(
     |stop| at the newest iterate is at most 1e-12 of the step and puts it
     within 1e-10 of the step of the crossing, and that iterate is the
     final sample.  A sample with stop exactly 0 before the crossing is
-    itself the final sample.  Running out of field domain ends the trajectory at the last
-    good sample with reason "boundary".  Kernel errors propagate with the
-    offending arc parameter attached.
+    itself the final sample.  Running out of field domain ends the
+    trajectory at the last good sample with reason "boundary"; a step's
+    first stage checks its sample, and the last sample is checked alone.
+    Kernel errors propagate with the offending arc parameter attached.
     """
     if not (step > 0.0 and max_len > 0.0):
         raise ValueError("step and max_len must be positive")
@@ -533,8 +537,16 @@ def integrate(
             raise ValueError("ray state has non-finite entries")
         return x0, x1, x2, u0 / norm, u1 / norm, u2 / norm
 
+    def line(y, k1, h):
+        # every kernel gives dx = u, du = 0 in a constant medium, which has no edge
+        x0, x1, x2, u0, u1, u2 = y
+        return x0 + h * u0, x1 + h * u1, x2 + h * u2, u0, u1, u2
+
+    straight = isinstance(field, ConstantIndex)
+    first, advance = ((lambda y: None), line) if straight else (stage, rk4)
+    if not straight:
+        field.value(start.x)  # a start outside the field's domain raises
     y = (*start.x.tolist(), *start.u.tolist())
-    field.value(start.x)  # a start outside the field's domain raises
     ts = [0.0]
     samples = [y]
     stop_sign = 0.0
@@ -546,8 +558,8 @@ def integrate(
     while t < max_len - 1e-15:
         h = min(step, max_len - t)
         try:
-            k1 = stage(y)
-            y_next = rk4(y, k1, h)
+            k1 = first(y)  # also the domain check of the sample y
+            y_next = advance(y, k1, h)
         except OutOfDomainError:
             reason = "boundary"
             break
@@ -562,7 +574,7 @@ def integrate(
                 stop_sign = sign
             elif sign != 0.0 and sign != stop_sign:
                 frac, y_cross = _locate_crossing(
-                    lambda frac: rk4(y, k1, h * frac),
+                    lambda frac: advance(y, k1, h * frac),
                     lambda z: stop_sign * stop(z[:3]),
                     y,
                     stop_sign * stop(y[:3]),
@@ -570,20 +582,19 @@ def integrate(
                     _CROSSING_RESIDUAL * h,
                 )
                 if frac > 0.0:
-                    field.value(y_cross[:3])
-                    t += h * frac
-                    ts.append(t)
+                    ts.append(t + h * frac)
                     samples.append(y_cross)
                 reason = "interface"
                 break
-        try:
-            field.value(y_next[:3])
-        except OutOfDomainError:
-            reason = "boundary"
-            break
         t += h
         y = y_next
         ts.append(t)
         samples.append(y)
+    if not straight and len(samples) > 1:
+        try:  # the domain check of the last sample
+            field.value(samples[-1][:3])
+        except OutOfDomainError:
+            del ts[-1], samples[-1]
+            reason = "boundary"
     arr = np.array(samples)
     return Trajectory(t=np.array(ts), x=arr[:, :3], u=arr[:, 3:], reason=reason, model=model)

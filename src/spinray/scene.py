@@ -70,7 +70,9 @@ class HalfSpace:
         object.__setattr__(self, "normal", vec3(self.normal))
 
     def inside_distance(self, x) -> float:
-        return self.offset - float(self.normal @ vec3(x))
+        x0, x1, x2 = x
+        a0, a1, a2 = self.normal.tolist()
+        return float(self.offset - (a0 * x0 + a1 * x1 + a2 * x2))
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,9 @@ class Box:
             raise ValueError("box max must exceed min on every axis")
 
     def inside_distance(self, x) -> float:
-        x = vec3(x)
-        return float(min(np.min(x - self.lo), np.min(self.hi - x)))
+        x0, x1, x2 = x
+        (l0, l1, l2), (h0, h1, h2) = self.lo.tolist(), self.hi.tolist()
+        return float(min(x0 - l0, x1 - l1, x2 - l2, h0 - x0, h1 - x1, h2 - x2))
 
 
 @dataclass(frozen=True)
@@ -128,6 +131,7 @@ class Scene:
 
     def medium_at(self, x) -> int | None:
         """Index of the single medium containing x, None if not covered."""
+        x = [*map(float, x)]
         hits = [i for i, m in enumerate(self.media) if m.contains(x)]
         if len(hits) == 1:
             return hits[0]

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from spinray.cli import build_parser, main
+
 from conftest import two_media_doc
 
 RUN = [sys.executable, "-m", "spinray"]
@@ -184,3 +186,32 @@ def test_non_finite_or_non_positive_input_is_an_input_error(scene_path, args):
 def test_no_subcommand_is_an_error():
     proc = run_cli()
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("trace", "--scene", "SCENE", "--step", "0"),
+    ("trace", "--scene", "SCENE", "--model", "warp"),
+    ("trace", "--scene", "SCENE", "--source", "one"),
+    (),
+], ids=["step-0", "unknown-model", "non-integer-source", "no-subcommand"])
+def test_usage_errors_print_one_line(scene_path, args):
+    proc = run_cli(*(scene_path if a == "SCENE" else a for a in args))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("spinray: input error: ")
+
+
+def test_repeated_in_process_calls_give_identical_output(scene_path, capsys):
+    assert build_parser() is build_parser()
+    for args in (["trace", "--scene", scene_path, "--model", "general", "--step", "0.05"],
+                 ["trace", "--scene", scene_path, "--source", "3"],
+                 ["check", "--scene", scene_path],
+                 ["curvature", "--scene", scene_path, "--at", "0,0,-0.5"]):
+        first = (main(args), capsys.readouterr())
+        assert (main(args), capsys.readouterr()) == first
+    # documents are compact JSON: one line, keys sorted
+    assert main(["trace", "--scene", scene_path]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and out.endswith("\n")
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"

@@ -112,7 +112,7 @@ FLOAT_PATH = {
     "src/spinray/propagation.py": (
         "_oriented_unit", "_tangent", "_hess_times", "_spinless_kernel",
         "_full_kernel", "_linearized_kernel", "_general_kernel", "_locate_crossing",
-        "integrate.stage", "integrate.rk4",
+        "integrate.stage", "integrate.rk4", "integrate.line",
     ),
 }
 # The one numpy call allowed there: numpy's exp and math.exp differ in the

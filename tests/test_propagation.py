@@ -5,7 +5,11 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from spinray.curvature import christoffel
-from spinray.errors import DegenerateKernelError, SpinCurvatureSingularityError
+from spinray.errors import (
+    DegenerateKernelError,
+    OutOfDomainError,
+    SpinCurvatureSingularityError,
+)
 from spinray import propagation
 from spinray.fields import (
     ConstantIndex,
@@ -22,6 +26,7 @@ from spinray.propagation import (
     MODEL_SPINLESS,
     MetricState,
     PhotonState,
+    Trajectory,
     canonical_model,
     direction_full_spin,
     direction_general_metric,
@@ -345,6 +350,69 @@ def test_integrate_boundary_stop_on_grid_edge():
     assert traj.arc_length < 10.0
 
 
+# n = 1 + x^2 / 2 sampled on a grid whose interior ends at x = 1.8: a ray
+# bends toward the edge, and at this step the fourth step ends past it
+# while all four of its stages lie inside
+EDGE_GRID_STEP = 0.29046
+
+
+def edge_grid():
+    xs = np.arange(11) * 0.2
+    vals = np.broadcast_to((1.0 + 0.5 * xs**2)[:, None, None], (11, 11, 11))
+    return GridIndex(values=vals, origin=(0, 0, 0), spacing=(0.2, 0.2, 0.2))
+
+
+def assert_ends_at_the_last_good_sample(traj, inv, field, model, step):
+    assert traj.reason == "boundary"
+    for x in traj.x:
+        field.value(x)  # every sample lies in the domain
+    # and the next step from the last one leaves it
+    last = integrate(traj.state(len(traj) - 1), inv, field, model=model, step=step,
+                     max_len=step)
+    assert (len(last), last.reason) == (1, "boundary")
+
+
+@pytest.mark.parametrize("max_len", [10.0, 4 * EDGE_GRID_STEP],
+                         ids=["next-first-stage", "last-sample-check"])
+def test_a_sample_past_the_grid_edge_is_dropped(monkeypatch, max_len):
+    # the first stage of the next step, or the check of the last sample
+    # when the path length runs out there, finds the sample outside
+    field = edge_grid()
+    inv = OrbitInvariants(p=3.0, s=0.0)
+    start = PhotonState(x=[1.0, 1.0, 0.3], u=[0.5, 0.0, 1.0])
+    raised = []
+    locate = GridIndex._locate
+
+    def recording(self, x):
+        try:
+            return locate(self, x)
+        except OutOfDomainError:
+            raised.append(float(x[0]))
+            raise
+
+    monkeypatch.setattr(GridIndex, "_locate", recording)
+    traj = integrate(start, inv, field, model="spinless", step=EDGE_GRID_STEP, max_len=max_len)
+    assert len(traj) == 4
+    # only one point raised, a whole step beyond the last sample: the
+    # sample that was dropped, not a stage inside the step
+    assert len(set(raised)) == 1 and raised[0] > 1.8 and raised[0] - traj.x[-1][0] > 0.2
+    monkeypatch.undo()
+    assert_ends_at_the_last_good_sample(traj, inv, field, "spinless", EDGE_GRID_STEP)
+
+
+@pytest.mark.parametrize("model", ["spinless", "full", "linearized", "general"])
+def test_integrate_stops_before_the_index_turns_negative(rng, model):
+    # n = 1 - z reaches 1e-9 just below z = 1; a ray running up the
+    # gradient never bends, so it ends within a step of that level
+    field = LinearGradientIndex(n0=1.0, k=(0.0, 0.0, -1.0))
+    inv = OrbitInvariants(p=3.0, s=0.0)
+    for step in rng.uniform(0.02, 0.2, size=4):
+        traj = integrate(PhotonState(x=[0.1, -0.2, 0.0], u=[0.0, 0.0, 1.0]), inv, field,
+                         model=model, step=step, max_len=5.0)
+        assert_ends_at_the_last_good_sample(traj, inv, field, model, step)
+        assert 1.0 - step < traj.x[-1][2] < 1.0
+
+
 def test_integrate_attaches_arc_parameter_to_kernel_errors():
     field = LinearGradientIndex(n0=1.0, k=[0.0, 0.0, 1.0])
     start = PhotonState(x=[0.0, 0.0, 0.0], u=[1.0, 0.0, 0.0])
@@ -428,9 +496,9 @@ def test_each_kernel_evaluation_takes_one_field_jet(monkeypatch, model):
     evals = len(per_eval)
     assert evals > 4 * (len(traj) - 1)  # the crossing search evaluates the kernel too
     assert per_eval == [{"component_jet": 1, "value": 0, "gradient": 0, "hessian": 0}] * evals
-    # the rest is one domain check (value) per sample, for every model
-    assert field.calls == {"component_jet": evals, "value": len(traj), "gradient": 0,
-                           "hessian": 0}
+    # the first stage of each step checks the domain of its sample: only
+    # the start and the last sample take a value call of their own
+    assert field.calls == {"component_jet": evals, "value": 2, "gradient": 0, "hessian": 0}
 
 
 @pytest.mark.parametrize("model", list(KERNEL_FNS))
@@ -541,7 +609,9 @@ def plane_across_path(rng, inv, field, model, incidence=None):
 
 @pytest.mark.parametrize("model", list(KERNEL_FNS))
 def test_plane_crossing_in_constant_medium_costs_at_most_two_rk4_calls(monkeypatch, rng, model):
-    field = ConstantIndex(n0=1.3)
+    # a zero gradient runs RK4 on straight lines (ConstantIndex itself
+    # takes closed-form steps and calls no kernel)
+    field = LinearGradientIndex(n0=1.3, k=(0.0, 0.0, 0.0))
     inv = OrbitInvariants(p=3.0, s=1.0)
     calls = count_kernel_evals(monkeypatch, model)
     for _ in range(5):
@@ -595,7 +665,7 @@ def test_crossing_from_a_start_on_the_surface(model):
 def test_crossing_from_a_sample_on_the_surface(monkeypatch, model):
     # a committed sample lands exactly on the plane and the next step
     # crosses it: that sample is the crossing, found with no RK4 call
-    field = ConstantIndex(n0=1.2)
+    field = LinearGradientIndex(n0=1.2, k=(0.0, 0.0, 0.0))
     inv = OrbitInvariants(p=3.0, s=1.0)
     start = PhotonState(x=[0.1, -0.2, -0.4], u=[0.3, 0.1, 0.9])
     free = integrate(start, inv, field, model=model, step=CROSSING_STEP, max_len=1.0)
@@ -622,7 +692,7 @@ def test_crossing_through_the_kink_of_a_min_of_two_planes(monkeypatch, model):
     # as in the runner's stop predicate, the minimum of two signed plane
     # distances; along the ray the kink (x = 0.94 / 0.95) and the root
     # (x = 0.99) fall inside the same step, with the shallow plane first
-    field = ConstantIndex(n0=1.0)
+    field = LinearGradientIndex(n0=1.0, k=(0.0, 0.0, 0.0))
     inv = OrbitInvariants(p=3.0, s=-1.0)
     start = PhotonState(x=[0.0, 0.0, 0.0], u=[1.0, 0.0, 0.0])
 
@@ -652,7 +722,8 @@ def test_crossing_at_grazing_incidence(monkeypatch, rng, model):
     # close to the reference bisection (itself within 0.5e-10) as at any
     # incidence
     calls = count_kernel_evals(monkeypatch, model)
-    for field, planes in ((CROSSING_LENS, 16), (ConstantIndex(n0=1.3), 4)):
+    flat = LinearGradientIndex(n0=1.3, k=(0.0, 0.0, 0.0))
+    for field, planes in ((CROSSING_LENS, 16), (flat, 4)):
         for _ in range(planes):
             inv = OrbitInvariants(p=3.0, s=float(rng.choice([-1.0, 1.0])))
             start, stop, normal = plane_across_path(rng, inv, field, model, incidence=1e-3)
@@ -668,3 +739,84 @@ def test_crossing_at_grazing_incidence(monkeypatch, rng, model):
             t_ref = bisected_crossing_t(traj, inv, field, model, stop)
             assert abs(traj.t[-1] - t_ref) <= 1.5e-10 * CROSSING_STEP
             assert abs(stop(traj.x[-1])) <= 1e-12 * CROSSING_STEP
+
+
+# -- straight steps in a constant medium ------------------------------------
+#
+# ConstantIndex takes each step as x + h u in closed form.  A linear
+# gradient with k = 0 is the same medium run through RK4, so the two must
+# give the same trajectory up to rounding.
+
+
+def straight_cases(rng, model):
+    """(start, stop) pairs: no stop, a plane, the kink of a min of two
+    planes, a plane at grazing incidence and a start on the surface."""
+    inv = OrbitInvariants(p=3.0, s=1.0)
+    flat = LinearGradientIndex(n0=1.3, k=(0.0, 0.0, 0.0))
+    plane = plane_across_path(rng, inv, flat, model)[:2]
+    grazing = plane_across_path(rng, inv, flat, model, incidence=1e-3)[:2]
+    return [
+        (random_state(rng), None),
+        plane,
+        (PhotonState(x=[0.0, 0.0, 0.0], u=[1.0, 0.0, 0.0]),
+         lambda x: min(0.05 * (1.0 - x[0]), 0.99 - x[0])),
+        grazing,
+        (PhotonState(x=[0.0, 0.0, 0.0], u=[0.6, 0.0, 0.8]), lambda x: float(x[2] * (0.3 - x[2]))),
+    ]
+
+
+def straight_mismatch(traj, ref, step) -> list[str]:
+    """How a constant-medium trajectory differs from the RK4 one: the same
+    length, reason and t-grid, positions and directions within 1e-13, and
+    a crossing within 1e-10 of the step, its point moved along the path by
+    at most that much."""
+    if (len(traj), traj.reason) != (len(ref), ref.reason):
+        return [f"{len(traj)} samples ending {traj.reason}, RK4 {len(ref)} ending {ref.reason}"]
+    problems = []
+    grid = len(traj) - (traj.reason == "interface")
+    if not np.array_equal(traj.t[:grid], ref.t[:grid]):
+        problems.append("t-grids differ")
+    dt = abs(traj.t[-1] - ref.t[-1])
+    if dt > 1e-10 * step:
+        problems.append(f"crossing t differs by {dt:.3e}")
+    dx = np.abs(traj.x - ref.x).max(axis=1)
+    dx[grid:] -= dt
+    if dx.max() > 1e-13 or np.abs(traj.u - ref.u).max() > 1e-13:
+        problems.append(f"states differ by {dx.max():.3e}")
+    return problems
+
+
+@pytest.mark.parametrize("model", list(KERNEL_FNS))
+def test_constant_medium_steps_straight_as_rk4_does(monkeypatch, rng, model):
+    inv = OrbitInvariants(p=3.0, s=1.0)
+    kernel_calls = count_kernel_evals(monkeypatch, model)
+    jets = []
+    jet = ConstantIndex.component_jet
+    monkeypatch.setattr(ConstantIndex, "component_jet",
+                        lambda self, *x: jets.append(x) or jet(self, *x))
+    for start, stop in straight_cases(rng, model):
+        kernel_calls.clear()
+        traj = integrate(start, inv, ConstantIndex(n0=1.3), model=model,
+                         step=CROSSING_STEP, max_len=2.0, stop=stop)
+        assert kernel_calls == [] and jets == []
+        ref = integrate(start, inv, LinearGradientIndex(n0=1.3, k=(0.0, 0.0, 0.0)), model=model,
+                        step=CROSSING_STEP, max_len=2.0, stop=stop)
+        assert kernel_calls  # the reference ran RK4
+        assert straight_mismatch(traj, ref, CROSSING_STEP) == []
+        assert traj.reason == ("max-steps" if stop is None else "interface")
+
+
+def test_a_wrong_straight_step_fails_the_comparison(rng):
+    # the trajectory a straight step of h (1 + 1e-9) would give: each
+    # sample 1e-9 of its arc too far, and so the same crossing point
+    # reached at 1 / (1 + 1e-9) of its arc
+    inv = OrbitInvariants(p=3.0, s=1.0)
+    for start, stop in straight_cases(rng, MODEL_FULL)[:2]:
+        ref = integrate(start, inv, LinearGradientIndex(n0=1.3, k=(0.0, 0.0, 0.0)),
+                        model=MODEL_FULL, step=CROSSING_STEP, max_len=2.0, stop=stop)
+        t = ref.t.copy()
+        if stop is not None:
+            t[-1] /= 1.0 + 1e-9
+        x = ref.x[0] + np.outer(t * (1.0 + 1e-9), ref.u[0])
+        wrong = Trajectory(t=t, x=x, u=ref.u, reason=ref.reason, model=ref.model)
+        assert straight_mismatch(wrong, ref, CROSSING_STEP) != []

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from spinray.errors import SceneError
-from spinray.fields import GridIndex, dump_index_grid
+from spinray.fields import ConstantIndex, GridIndex, dump_index_grid
 from spinray.scene import (
     Box,
     HalfSpace,
+    Limits,
+    Medium,
     Scene,
     emit_scene,
     parse_scene,
@@ -38,6 +40,50 @@ def test_half_space_and_box_regions():
     assert box.inside_distance([1, 2, 7]) == -1.0
     with pytest.raises(ValueError):
         Box(lo=[0, 0, 0], hi=[2, 0, 6])
+
+
+def array_inside_distance(region, x) -> float:
+    """The array form of a region's signed distance."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(region, HalfSpace):
+        return region.offset - float(region.normal @ x)
+    return float(min(np.min(x - region.lo), np.min(region.hi - x)))
+
+
+def test_float_region_tests_equal_the_array_forms(rng):
+    box = Box(lo=rng.uniform(-2.0, -0.5, size=3), hi=rng.uniform(0.5, 2.0, size=3))
+    axis = HalfSpace(normal=[0.0, 0.0, -1.0], offset=0.25)
+    # a tilted plane with dyadic coefficients: on points of eighths every
+    # product and sum is exact
+    dyadic = HalfSpace(normal=[0.5, 0.25, -1.0], offset=0.375)
+    tilted = HalfSpace(normal=rng.normal(size=3), offset=0.3)
+    points = list(rng.uniform(-3.0, 3.0, size=(200, 3)))
+    for _ in range(100):  # points of the box, some exactly on a face, edge or corner
+        x = rng.uniform(box.lo, box.hi)
+        on = rng.uniform(size=3) < 0.5
+        x[on] = np.where(rng.uniform(size=3) < 0.5, box.lo, box.hi)[on]
+        points.append(x)
+    for _ in range(100):  # points exactly on the axis and the dyadic planes
+        x = rng.integers(-24, 25, size=3) / 8.0
+        points.append(np.array([x[0], x[1], -0.25]))
+        points.append(np.array([x[0], x[1], 0.5 * x[0] + 0.25 * x[1] - 0.375]))
+    regions = (box, axis, dyadic)
+    scene = Scene(media=tuple(Medium(region=r, field=ConstantIndex(n0=1.0)) for r in regions),
+                  interfaces=(), sources=(), limits=Limits(1.0, 0))
+    on_boundary = 0
+    for x in points:
+        for form in (x, x.tolist()):
+            dists = [r.inside_distance(form) for r in regions]
+            assert all(type(d) is float for d in dists)
+            assert dists == [array_inside_distance(r, x) for r in regions]
+            hits = [i for i, d in enumerate(dists) if d > 0.0]
+            assert scene.medium_at(form) == (hits[0] if len(hits) == 1 else None)
+        on_boundary += 0.0 in dists
+        # numpy forms this dot as a fused multiply-add chain, the float
+        # form rounds each product: they agree to rounding
+        scale = 1.0 + float(np.abs(tilted.normal) @ np.abs(x))
+        assert abs(tilted.inside_distance(x) - array_inside_distance(tilted, x)) <= 4e-16 * scale
+    assert on_boundary >= 250
 
 
 def test_parse_rejects_wrong_version(scene_doc):
